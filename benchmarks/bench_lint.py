@@ -12,8 +12,8 @@ from pathlib import Path
 from conftest import register_table
 
 import repro
-from repro.lint import LintEngine, expand_rule_selectors
-from repro.lint.rules import all_rules, select_rules
+from repro.lint.engine import LintEngine
+from repro.lint.rules import all_rules, expand_rule_selectors, select_rules
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
 

@@ -173,8 +173,7 @@ def test_serve_mixed_ingest_rounds(serve_oracle):
     ``INGEST_FRACTION`` of each round's requests are write batches
     applied to a live index through the same worker pool — so the read
     percentiles here measure the cost of sharing the process with the
-    writer-priority ingest lock (baseline:
-    ``benchmarks/results/INGEST_10.json``).
+    writer-priority ingest lock.
     """
     service = OracleService(serve_oracle, cache_size=256)
     nodes = sorted(serve_oracle.nodes(), key=repr)

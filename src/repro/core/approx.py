@@ -1,10 +1,10 @@
 """The approximate one-pass IRS algorithm (paper §3.2, Algorithm 3).
 
-Identical control flow to :class:`repro.core.exact.ExactIRS` — a reverse
-chronological scan with per-node summaries — but each summary is a
-:class:`repro.sketch.vhll.VersionedHLL` instead of an exact map.  The paper's
-``ApproxAdd`` / ``ApproxMerge`` become the sketch's ``add_pair`` /
-``merge_within``.
+Identical control flow to :class:`repro.core.exact.ExactIRS` — both run the
+reverse chronological scan of :class:`repro.core.scan.ReverseScan` — but
+each summary is a :class:`repro.sketch.vhll.VersionedHLL` instead of an
+exact map.  The paper's ``ApproxAdd`` / ``ApproxMerge`` become the sketch's
+``add_pair`` / ``merge_within``.
 
 Expected complexity (paper Lemmas 5–6): O(m·β·log²ω) time and
 O(n·β·log²ω) space, with β = 2**precision cells per sketch.  The estimate of
@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Optional
 
 import repro.obs as obs
-from repro.core.interactions import Interaction, InteractionLog
+from repro.core.interactions import InteractionLog
+from repro.core.scan import ReverseScan
 from repro.lint.contracts import invariant, post_approx_apply
 from repro.obs import OBS_STATE as _OBS
 from repro.sketch.hashing import split_hash
@@ -50,7 +51,7 @@ _CELL_LEN = obs.histogram(
 )
 
 
-class ApproxIRS:
+class ApproxIRS(ReverseScan[VersionedHLL]):
     """Sketch-based influence-reachability-set index.
 
     Parameters
@@ -73,18 +74,20 @@ class ApproxIRS:
     reachability sets influence maximization cares about.
     """
 
+    # Restated for repro-lint, which does not resolve the base's type parameter.
+    _summaries: Dict[Node, VersionedHLL]
+
     def __init__(self, window: int, precision: int = 9, salt: int = 0) -> None:
         require_int(window, "window")
         require_non_negative(window, "window")
+        super().__init__()
         self._window = window
         self._precision = precision
         self._salt = salt
         # Validate precision/salt once through a throwaway sketch.
         VersionedHLL(precision, salt)
         self._num_cells = 1 << precision
-        self._sketches: Dict[Node, VersionedHLL] = {}
         self._node_hash: Dict[Node, tuple[int, int]] = {}
-        self._last_time: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -99,96 +102,25 @@ class ApproxIRS:
     ) -> "ApproxIRS":
         """Build the full index with one reverse pass over ``log``.
 
-        Interactions sharing a time stamp are processed as a batch against a
-        snapshot of the pre-batch sketches, exactly like
-        :meth:`repro.core.exact.ExactIRS.from_log` — tied edges must not
-        chain into a channel.
+        Ties follow :class:`~repro.core.scan.ReverseScan`'s tie rule, exactly
+        like :meth:`repro.core.exact.ExactIRS.from_log`.
         """
         require_type(log, "log", InteractionLog)
         index = cls(window, precision, salt)
         build_span = obs.span("approx.build", window=window, precision=precision)
         with build_span:
-            batch: list[Interaction] = []
-            for record in log.reverse_time_order():
-                if batch and record.time != batch[0].time:
-                    index._process_batch(batch)
-                    batch = []
-                batch.append(record)
-            if batch:
-                index._process_batch(batch)
-            for node in log.nodes:
-                index._sketch_for(node)
+            index._scan(log)
         if _OBS.enabled:
             _ENTRIES.set(index.entry_count())
             seconds = build_span.duration_ns / 1e9
             if seconds > 0:
                 _THROUGHPUT.labels(window=window).set(len(log) / seconds)
             observe = _CELL_LEN.labels(window=window).observe
-            for sketch in index._sketches.values():  # repro-lint: budget=O(n·β)
+            for sketch in index._summaries.values():  # repro-lint: budget=O(n·β)
                 for length in sketch.cell_lengths():
                     if length:
                         observe(length)
         return index
-
-    def _process_batch(self, records: list[Interaction]) -> None:
-        """Process interactions sharing one time stamp (see from_log)."""
-        if len(records) == 1:
-            record = records[0]
-            self.process(record.source, record.target, record.time)
-            return
-        snapshots: Dict[Node, Optional[VersionedHLL]] = {}
-        for record in records:
-            target = record.target
-            if target not in snapshots:
-                existing = self._sketches.get(target)
-                snapshots[target] = existing.copy() if existing else None  # repro-lint: disable=R301 (tied-batch snapshot isolation requires a pre-batch copy)
-        for record in records:
-            target = record.target
-            self._apply(record.source, target, record.time, snapshots[target])
-        self._last_time = records[0].time
-
-    def process(self, source: Node, target: Node, time: int) -> None:
-        """Process one interaction; times must be strictly decreasing.
-
-        Equal stamps are rejected here (their merges would wrongly chain
-        tied edges); :meth:`from_log` batches ties correctly.
-        """
-        require_int(time, "time")
-        if self._last_time is not None and time >= self._last_time:
-            raise ValueError(
-                f"interactions must be processed in strictly decreasing time "
-                f"order: got t={time} after t={self._last_time} "
-                "(use from_log for logs with tied time stamps)"
-            )
-        self._last_time = time
-        self._apply(source, target, time, self._sketches.get(target))
-
-    def process_tied(
-        self,
-        source: Node,
-        target: Node,
-        time: int,
-        target_sketch: Optional[VersionedHLL],
-    ) -> None:
-        """One interaction of a tied batch, merged from an explicit snapshot.
-
-        Mirrors :meth:`repro.core.exact.ExactIRS.process_tied`: the caller
-        owns the pre-stamp snapshots and the stamp may equal the current
-        frontier — it must not move it forward.
-        """
-        require_int(time, "time")
-        if self._last_time is not None and time > self._last_time:
-            raise ValueError(
-                f"tied processing cannot move the frontier forward: got "
-                f"t={time} after t={self._last_time}"
-            )
-        self._last_time = time
-        self._apply(source, target, time, target_sketch)
-
-    def sketch_snapshot(self, node: Node) -> Optional[VersionedHLL]:
-        """An isolated copy of the node's sketch (None when unseen)."""
-        existing = self._sketches.get(node)
-        return existing.copy() if existing is not None else None  # repro-lint: disable=R301 (tied-batch snapshot isolation requires a pre-batch copy)
 
     def prune_ends_after(self, threshold: int) -> int:
         """Decay sweep: drop pairs with ``t > threshold`` from every sketch.
@@ -199,10 +131,14 @@ class ApproxIRS:
         """
         require_int(threshold, "threshold")
         evicted = 0
-        for sketch in self._sketches.values():  # repro-lint: budget=O(n·β) decay sweep, amortised by sweep_every
+        for sketch in self._summaries.values():  # repro-lint: budget=O(n·β) decay sweep, amortised by sweep_every
             evicted += sketch.prune_newer_than(threshold)
         return evicted
 
+    def _new_summary(self) -> VersionedHLL:
+        return VersionedHLL(self._precision, self._salt)
+
+    # repro-lint: hotpath
     @invariant(post_approx_apply)
     def _apply(
         self,
@@ -211,26 +147,22 @@ class ApproxIRS:
         time: int,
         target_sketch: Optional[VersionedHLL],
     ) -> None:
+        """Algorithm 3's body: ``ApproxAdd`` the hop, ``ApproxMerge`` ϕ(v)."""
         if _OBS.enabled:
             _INTERACTIONS.inc()
         if source == target or self._window == 0:
-            self._sketch_for(source)
-            self._sketch_for(target)
+            self._summary_for(source)
+            self._summary_for(target)
             return
-        sketch = self._sketch_for(source)
+        sketch = self._summaries.get(source)
+        if sketch is None:
+            sketch = self._summaries[source] = self._new_summary()
         cell, r = self._hash_node(target)
         sketch.add_pair(cell, r, time)
         if target_sketch is not None and not target_sketch.is_empty():
             if _OBS.enabled:
                 _MERGES.inc()
             sketch.merge_within(target_sketch, time, self._window)
-
-    def _sketch_for(self, node: Node) -> VersionedHLL:
-        sketch = self._sketches.get(node)
-        if sketch is None:
-            sketch = VersionedHLL(self._precision, self._salt)
-            self._sketches[node] = sketch
-        return sketch
 
     def _hash_node(self, node: Node) -> tuple[int, int]:
         cached = self._node_hash.get(node)
@@ -257,14 +189,9 @@ class ApproxIRS:
         """β — cells per sketch."""
         return self._num_cells
 
-    @property
-    def nodes(self) -> Iterable[Node]:
-        """All nodes with a (possibly empty) sketch."""
-        return self._sketches.keys()
-
     def sketch(self, node: Node) -> VersionedHLL:
         """The versioned sketch of ``node`` (empty for unknown nodes)."""
-        found = self._sketches.get(node)
+        found = self._summaries.get(node)
         if found is not None:
             return found
         return VersionedHLL(self._precision, self._salt)
@@ -276,21 +203,21 @@ class ApproxIRS:
         the duration budget, so the final estimate uses the per-cell maximum
         over all pairs.
         """
-        found = self._sketches.get(node)
+        found = self._summaries.get(node)
         if found is None:
             return [0] * self._num_cells
         return found.effective_registers()
 
     def irs_estimate(self, node: Node) -> float:
         """Estimated ``|σω(node)|``."""
-        found = self._sketches.get(node)
+        found = self._summaries.get(node)
         if found is None:
             return 0.0
         return found.cardinality()
 
     def irs_estimates(self) -> Dict[Node, float]:
         """Estimated ``|σω(u)|`` for every node."""
-        return {node: sketch.cardinality() for node, sketch in self._sketches.items()}
+        return {node: sketch.cardinality() for node, sketch in self._summaries.items()}
 
     def spread(self, seeds: Iterable[Node]) -> float:
         """Estimated ``|⋃_{u ∈ seeds} σω(u)|`` via register-wise maxima.
@@ -301,7 +228,7 @@ class ApproxIRS:
         """
         combined = [0] * self._num_cells
         for seed in seeds:  # repro-lint: budget=O(|seeds|·β)
-            sketch = self._sketches.get(seed)
+            sketch = self._summaries.get(seed)
             if sketch is None:
                 continue
             sketch.max_registers_into(combined)
@@ -309,12 +236,12 @@ class ApproxIRS:
 
     def entry_count(self) -> int:
         """Total ``(ρ, t)`` pairs stored across every node's sketch."""
-        return sum(sketch.entry_count() for sketch in self._sketches.values())
+        return sum(sketch.entry_count() for sketch in self._summaries.values())
 
     def max_cell_length(self) -> int:
         """Longest per-cell version list — empirically O(log ω) (Lemma 4)."""
         longest = 0
-        for sketch in self._sketches.values():
+        for sketch in self._summaries.values():
             lengths = sketch.cell_lengths()
             if lengths:
                 longest = max(longest, max(lengths))
@@ -323,5 +250,5 @@ class ApproxIRS:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ApproxIRS(window={self._window}, precision={self._precision}, "
-            f"nodes={len(self._sketches)}, entries={self.entry_count()})"
+            f"nodes={len(self._summaries)}, entries={self.entry_count()})"
         )

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional
 
-from repro.core.interactions import Interaction, InteractionLog
+from repro.core.interactions import InteractionLog
+from repro.core.scan import ReverseScan
 from repro.sketch.bottomk import VersionedBottomK
 from repro.utils.validation import require_int, require_non_negative, require_type
 
@@ -27,7 +28,7 @@ __all__ = ["BottomKIRS"]
 Node = Hashable
 
 
-class BottomKIRS:
+class BottomKIRS(ReverseScan[VersionedBottomK]):
     """Bottom-k-backed influence reachability index (ablation backend).
 
     Parameters
@@ -41,15 +42,17 @@ class BottomKIRS:
         Hash-function selector.
     """
 
+    # Restated for repro-lint, which does not resolve the base's type parameter.
+    _summaries: Dict[Node, VersionedBottomK]
+
     def __init__(self, window: int, k: int = 64, salt: int = 0) -> None:
         require_int(window, "window")
         require_non_negative(window, "window")
+        super().__init__()
         self._window = window
         self._k = k
         self._salt = salt
         VersionedBottomK(k, salt)  # validate parameters eagerly
-        self._sketches: Dict[Node, VersionedBottomK] = {}
-        self._last_time: Optional[int] = None
 
     @classmethod
     def from_log(
@@ -58,35 +61,13 @@ class BottomKIRS:
         """Build with one reverse pass (ties batched like the other indexes)."""
         require_type(log, "log", InteractionLog)
         index = cls(window, k, salt)
-        batch: list[Interaction] = []
-        for record in log.reverse_time_order():
-            if batch and record.time != batch[0].time:
-                index._process_batch(batch)
-                batch = []
-            batch.append(record)
-        if batch:
-            index._process_batch(batch)
-        for node in log.nodes:
-            index._sketch_for(node)
+        index._scan(log)
         return index
 
-    def _process_batch(self, records: list[Interaction]) -> None:
-        snapshots: Dict[Node, Optional[VersionedBottomK]] = {}
-        for record in records:
-            target = record.target
-            if target not in snapshots:
-                existing = self._sketches.get(target)
-                if existing is None:
-                    snapshots[target] = None
-                else:
-                    clone = VersionedBottomK(self._k, self._salt)
-                    clone.merge(existing)
-                    snapshots[target] = clone
-        for record in records:
-            target = record.target
-            self._apply(record.source, target, record.time, snapshots[target])
-        self._last_time = records[0].time
+    def _new_summary(self) -> VersionedBottomK:
+        return VersionedBottomK(self._k, self._salt)
 
+    # repro-lint: hotpath
     def _apply(
         self,
         source: Node,
@@ -95,20 +76,15 @@ class BottomKIRS:
         target_sketch: Optional[VersionedBottomK],
     ) -> None:
         if source == target or self._window == 0:
-            self._sketch_for(source)
-            self._sketch_for(target)
+            self._summary_for(source)
+            self._summary_for(target)
             return
-        sketch = self._sketch_for(source)
+        sketch = self._summaries.get(source)
+        if sketch is None:
+            sketch = self._summaries[source] = self._new_summary()
         sketch.add(target, time)
         if target_sketch is not None and not target_sketch.is_empty():
             sketch.merge_within(target_sketch, time, self._window)
-
-    def _sketch_for(self, node: Node) -> VersionedBottomK:
-        sketch = self._sketches.get(node)
-        if sketch is None:
-            sketch = VersionedBottomK(self._k, self._salt)
-            self._sketches[node] = sketch
-        return sketch
 
     # ------------------------------------------------------------------
     # Queries
@@ -118,29 +94,24 @@ class BottomKIRS:
         """The duration budget ω."""
         return self._window
 
-    @property
-    def nodes(self) -> Iterable[Node]:
-        """All indexed nodes."""
-        return self._sketches.keys()
-
     def irs_estimate(self, node: Node) -> float:
         """Estimated ``|σω(node)|``."""
-        found = self._sketches.get(node)
+        found = self._summaries.get(node)
         return found.cardinality() if found is not None else 0.0
 
     def irs_estimates(self) -> Dict[Node, float]:
         """Estimates for every node."""
-        return {node: sk.cardinality() for node, sk in self._sketches.items()}
+        return {node: sk.cardinality() for node, sk in self._summaries.items()}
 
     def spread(self, seeds: Iterable[Node]) -> float:
         """Estimated union cardinality over the seeds' sketches."""
         combined = VersionedBottomK(self._k, self._salt)
         for seed in seeds:
-            sketch = self._sketches.get(seed)
+            sketch = self._summaries.get(seed)
             if sketch is not None:
                 combined.merge(sketch)
         return combined.cardinality()
 
     def entry_count(self) -> int:
         """Total stored (hash, λ) pairs across nodes."""
-        return sum(sk.entry_count() for sk in self._sketches.values())
+        return sum(sk.entry_count() for sk in self._summaries.values())

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Optional
 
 import repro.obs as obs
-from repro.core.interactions import Interaction, InteractionLog
+from repro.core.interactions import InteractionLog
+from repro.core.scan import ReverseScan
 from repro.core.summary import IRSSummary
 from repro.lint.contracts import invariant, post_exact_apply
 from repro.obs import OBS_STATE as _OBS
@@ -46,7 +47,7 @@ _THROUGHPUT = obs.gauge(
 )
 
 
-class ExactIRS:
+class ExactIRS(ReverseScan[IRSSummary]):
     """Exact influence-reachability-set index over an interaction log.
 
     Build it in one call::
@@ -63,12 +64,14 @@ class ExactIRS:
         Maximum channel duration ω, in time ticks.
     """
 
+    # Restated for repro-lint, which does not resolve the base's type parameter.
+    _summaries: Dict[Node, IRSSummary]
+
     def __init__(self, window: int) -> None:
         require_int(window, "window")
         require_non_negative(window, "window")
+        super().__init__()
         self._window = window
-        self._summaries: Dict[Node, IRSSummary] = {}
-        self._last_time: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -77,103 +80,20 @@ class ExactIRS:
     def from_log(cls, log: InteractionLog, window: int) -> "ExactIRS":
         """Build the full index with one reverse pass over ``log``.
 
-        The paper assumes distinct time stamps (§2); real logs often have
-        ties, so this constructor handles them soundly: interactions sharing
-        a time stamp are processed as a *batch* against a snapshot of the
-        pre-batch summaries — two tied interactions can never chain into one
-        channel (Definition 1 requires strictly increasing times), and the
-        snapshot guarantees they cannot contaminate each other's merges.
+        Tied time stamps are handled by :class:`~repro.core.scan.ReverseScan`'s
+        tie rule: two tied interactions can never chain into one channel.
         """
         require_type(log, "log", InteractionLog)
         index = cls(window)
         build_span = obs.span("exact.build", window=window)
         with build_span:
-            batch: list[Interaction] = []
-            for record in log.reverse_time_order():
-                if batch and record.time != batch[0].time:
-                    index._process_batch(batch)
-                    batch = []
-                batch.append(record)
-            if batch:
-                index._process_batch(batch)
-            # Every node should answer queries, including pure sinks.
-            for node in log.nodes:
-                index._summaries.setdefault(node, IRSSummary())
+            index._scan(log)
         if _OBS.enabled:
             _ENTRIES.set(index.entry_count())
             seconds = build_span.duration_ns / 1e9
             if seconds > 0:
                 _THROUGHPUT.labels(window=window).set(len(log) / seconds)
         return index
-
-    def _process_batch(self, records: list[Interaction]) -> None:
-        """Process interactions sharing one time stamp (see from_log)."""
-        if len(records) == 1:
-            record = records[0]
-            self.process(record.source, record.target, record.time)
-            return
-        snapshots: Dict[Node, Optional[IRSSummary]] = {}
-        for record in records:
-            target = record.target
-            if target not in snapshots:
-                existing = self._summaries.get(target)
-                snapshots[target] = existing.copy() if existing else None  # repro-lint: disable=R301 (tied-batch snapshot isolation requires a pre-batch copy)
-        for record in records:
-            target = record.target
-            self._apply(record.source, target, record.time, snapshots[target])
-        self._last_time = records[0].time
-
-    def process(self, source: Node, target: Node, time: int) -> None:
-        """Process one interaction; times must be strictly decreasing.
-
-        Implements the body of Algorithm 2:
-        ``Add(ϕ(u), (v, t)); Merge(ϕ(u), ϕ(v), t, ω)``.  Feeding two
-        interactions with equal stamps through this incremental API is
-        rejected — their merges would wrongly chain tied edges; use
-        :meth:`from_log`, which batches ties correctly.
-        """
-        require_int(time, "time")
-        if self._last_time is not None and time >= self._last_time:
-            raise ValueError(
-                f"interactions must be processed in strictly decreasing time "
-                f"order: got t={time} after t={self._last_time} "
-                "(use from_log for logs with tied time stamps)"
-            )
-        self._last_time = time
-        self._apply(source, target, time, self._summaries.get(target))
-
-    def process_tied(
-        self,
-        source: Node,
-        target: Node,
-        time: int,
-        target_summary: Optional[IRSSummary],
-    ) -> None:
-        """One interaction of a tied batch, merged from an explicit snapshot.
-
-        The incremental face of :meth:`from_log`'s tie batching: the caller
-        owns the pre-stamp snapshots (see
-        :meth:`repro.core.streaming.StreamingExactIndex.observe`) and the
-        stamp may equal the current frontier — it must not move it forward.
-        """
-        require_int(time, "time")
-        if self._last_time is not None and time > self._last_time:
-            raise ValueError(
-                f"tied processing cannot move the frontier forward: got "
-                f"t={time} after t={self._last_time}"
-            )
-        self._last_time = time
-        self._apply(source, target, time, target_summary)
-
-    def summary_snapshot(self, node: Node) -> Optional[IRSSummary]:
-        """An isolated copy of ``ϕω(node)`` (None when the node is unseen).
-
-        Snapshots are what keep tied interactions from chaining: merges
-        within one stamp must read the pre-stamp state, never the partially
-        updated one.
-        """
-        existing = self._summaries.get(node)
-        return existing.copy() if existing is not None else None  # repro-lint: disable=R301 (tied-batch snapshot isolation requires a pre-batch copy)
 
     def evict_ends_after(self, threshold: int) -> Dict[Node, int]:
         """Decay sweep: drop entries with ``λ > threshold`` from every summary.
@@ -189,6 +109,10 @@ class ExactIRS:
             summary.evict_ends_after_into(threshold, evicted)
         return evicted
 
+    def _new_summary(self) -> IRSSummary:
+        return IRSSummary()
+
+    # repro-lint: hotpath
     @invariant(post_exact_apply)
     def _apply(
         self,
@@ -197,18 +121,18 @@ class ExactIRS:
         time: int,
         target_summary: Optional[IRSSummary],
     ) -> None:
+        """Algorithm 2's body: ``Add(ϕ(u), (v, t)); Merge(ϕ(u), ϕ(v), t, ω)``."""
         if _OBS.enabled:
             _INTERACTIONS.inc()
         if source == target or self._window == 0:
             # Self-loops carry no influence; with ω = 0 even a single edge
             # (duration 1) exceeds the budget.
-            self._summaries.setdefault(source, IRSSummary())
-            self._summaries.setdefault(target, IRSSummary())
+            self._summary_for(source)
+            self._summary_for(target)
             return
         summary = self._summaries.get(source)
         if summary is None:
-            summary = IRSSummary()
-            self._summaries[source] = summary
+            summary = self._summaries[source] = IRSSummary()
         summary.add(target, time)
         if target_summary is not None and len(target_summary) > 0:
             if _OBS.enabled:
@@ -222,11 +146,6 @@ class ExactIRS:
     def window(self) -> int:
         """The duration budget ω this index was built with."""
         return self._window
-
-    @property
-    def nodes(self) -> Iterable[Node]:
-        """All nodes with a (possibly empty) summary."""
-        return self._summaries.keys()
 
     def summary(self, node: Node) -> IRSSummary:
         """``ϕω(node)``; an empty summary for unknown nodes."""

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.core.interactions import Interaction, InteractionLog
+from repro.core.interactions import InteractionLog
+from repro.core.scan import ReverseScan
 from repro.utils.validation import require_int, require_non_negative, require_type
 
 __all__ = ["MultiWindowIRS"]
@@ -43,7 +44,12 @@ __all__ = ["MultiWindowIRS"]
 Node = Hashable
 
 
-class MultiWindowIRS:
+#: Per-source frontier: ``{target: [(start, end), ...]}``, both coordinates
+#: strictly decreasing along each list.
+Frontier = Dict[Node, List[Tuple[int, int]]]
+
+
+class MultiWindowIRS(ReverseScan[Frontier]):
     """Window-free influence reachability index.
 
     Build once::
@@ -63,11 +69,6 @@ class MultiWindowIRS:
     channels looping back to their start node are excluded.
     """
 
-    def __init__(self) -> None:
-        # _frontiers[u][v]: list of (start, end), both strictly decreasing.
-        self._frontiers: Dict[Node, Dict[Node, List[Tuple[int, int]]]] = {}
-        self._last_time: Optional[int] = None
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -76,46 +77,30 @@ class MultiWindowIRS:
         """Build the index with one reverse pass over ``log``."""
         require_type(log, "log", InteractionLog)
         index = cls()
-        batch: list[Interaction] = []
-        for record in log.reverse_time_order():
-            if batch and record.time != batch[0].time:
-                index._process_batch(batch)
-                batch = []
-            batch.append(record)
-        if batch:
-            index._process_batch(batch)
-        for node in log.nodes:
-            index._frontiers.setdefault(node, {})
+        index._scan(log)
         return index
 
-    def _process_batch(self, records: list[Interaction]) -> None:
-        snapshots: Dict[Node, Optional[Dict[Node, List[Tuple[int, int]]]]] = {}
-        for record in records:
-            target = record.target
-            if target not in snapshots:
-                existing = self._frontiers.get(target)
-                snapshots[target] = (
-                    {v: list(entries) for v, entries in existing.items()}  # repro-lint: disable=R301 (tied-batch snapshot isolation requires a pre-batch copy)
-                    if existing
-                    else None
-                )
-        for record in records:
-            target = record.target
-            self._apply(record.source, target, record.time, snapshots[target])
-        self._last_time = records[0].time
+    def _new_summary(self) -> Frontier:
+        return {}
 
+    # repro-lint: hotpath
+    def _copy(self, summary: Frontier) -> Frontier:
+        # The per-pair entry lists are mutated in place, so copy them too.
+        return {v: list(entries) for v, entries in summary.items()}  # repro-lint: disable=R301 (tied-batch snapshot isolation requires a pre-batch copy)
+
+    # repro-lint: hotpath
     def _apply(
         self,
         source: Node,
         target: Node,
         time: int,
-        target_frontier: Optional[Dict[Node, List[Tuple[int, int]]]],
+        target_frontier: Optional[Frontier],
     ) -> None:
         if source == target:
-            self._frontiers.setdefault(source, {})
-            self._frontiers.setdefault(target, {})
+            self._summary_for(source)
+            self._summary_for(target)
             return
-        mine = self._frontiers.setdefault(source, {})
+        mine = self._summary_for(source)
         self._insert(mine, target, time, time)
         if target_frontier:
             for reached, entries in target_frontier.items():
@@ -129,7 +114,7 @@ class MultiWindowIRS:
 
     @staticmethod
     def _insert(
-        frontier: Dict[Node, List[Tuple[int, int]]],
+        frontier: Frontier,
         target: Node,
         start: int,
         end: int,
@@ -152,19 +137,14 @@ class MultiWindowIRS:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> Iterable[Node]:
-        """All indexed nodes."""
-        return self._frontiers.keys()
-
     def frontier(self, source: Node, target: Node) -> List[Tuple[int, int]]:
         """The raw ``(start, end)`` Pareto frontier for one pair."""
-        return list(self._frontiers.get(source, {}).get(target, ()))
+        return list(self._summaries.get(source, {}).get(target, ()))
 
     def fastest_duration(self, source: Node, target: Node) -> Optional[int]:
         """Minimal channel duration ``source → target``; ``None`` if
         unreachable at any window."""
-        entries = self._frontiers.get(source, {}).get(target)
+        entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return None
         return min(end - start + 1 for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
@@ -172,7 +152,7 @@ class MultiWindowIRS:
     def reaches(self, source: Node, target: Node, window: int) -> bool:
         """``target ∈ σω(source)`` for ω = ``window``."""
         self._check_window(window)
-        entries = self._frontiers.get(source, {}).get(target)
+        entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return False
         return any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
@@ -182,7 +162,7 @@ class MultiWindowIRS:
     ) -> Optional[int]:
         """``λω(source, target)`` — minimal end among in-budget channels."""
         self._check_window(window)
-        entries = self._frontiers.get(source, {}).get(target)
+        entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return None
         candidates = [
@@ -193,7 +173,7 @@ class MultiWindowIRS:
     def reachability_set(self, source: Node, window: int) -> set[Node]:
         """``σω(source)`` for ω = ``window``."""
         self._check_window(window)
-        frontier = self._frontiers.get(source, {})
+        frontier = self._summaries.get(source, {})
         return {
             target
             for target, entries in frontier.items()
@@ -215,14 +195,14 @@ class MultiWindowIRS:
         """Total frontier entries stored (the memory driver)."""
         return sum(
             len(entries)
-            for frontier in self._frontiers.values()
+            for frontier in self._summaries.values()
             for entries in frontier.values()
         )
 
     def max_frontier_length(self) -> int:
         """Longest per-pair frontier."""
         longest = 0
-        for frontier in self._frontiers.values():  # repro-lint: budget=O(n²·F)
+        for frontier in self._summaries.values():  # repro-lint: budget=O(n²·F)
             for entries in frontier.values():
                 length = len(entries)
                 if length > longest:
@@ -236,6 +216,6 @@ class MultiWindowIRS:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"MultiWindowIRS(nodes={len(self._frontiers)}, "
+            f"MultiWindowIRS(nodes={len(self._summaries)}, "
             f"entries={self.entry_count()})"
         )

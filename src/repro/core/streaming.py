@@ -37,17 +37,26 @@ the one-shot helper :func:`influencers_of`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 import repro.obs as obs
 from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
 from repro.core.interactions import InteractionLog
-from repro.core.summary import IRSSummary
 from repro.lint.contracts import invariant, post_streaming_process
-from repro.sketch.vhll import VersionedHLL
 from repro.obs import OBS_STATE as _OBS
-from repro.utils.validation import require_int, require_non_negative, require_type
+from repro.utils.validation import require_int, require_type
 
 __all__ = [
     "StreamingExactIndex",
@@ -56,6 +65,9 @@ __all__ = [
 ]
 
 Node = Hashable
+
+D = TypeVar("D", ExactIRS, ApproxIRS)
+T = TypeVar("T", bound="_StreamingIndex[Any]")
 
 _EVENTS = obs.counter("streaming.events", "Interactions ingested by a streaming index.")
 _EVENT_SECONDS = obs.histogram(
@@ -70,47 +82,55 @@ _ENTRIES = obs.gauge(
 _ENTRIES_SAMPLE_EVERY = 1024
 
 
-class StreamingExactIndex:
-    """Exact influenced-by sets, maintained as interactions arrive.
+class _StreamingIndex(Generic[D]):
+    """Shared live-mode driver over a dual reverse-scan index.
 
-    Parameters
-    ----------
-    window:
-        Maximum channel duration ω.
-
-    Example
-    -------
-    >>> index = StreamingExactIndex(window=5)
-    >>> index.process("a", "b", 1)
-    >>> index.process("b", "c", 3)
-    >>> sorted(index.influencers("c"))
-    ['a', 'b']
+    Every original interaction ``(u, v, t)`` is fed to the dual as
+    ``(v, u, −t)``; subclasses pick the dual's summary type and add the
+    queries that read it.
     """
 
-    def __init__(self, window: int) -> None:
-        require_int(window, "window")
-        require_non_negative(window, "window")
-        self._window = window
-        self._dual = ExactIRS(window)
+    _dual_type: Type[D]
+    _kind: str
+
+    def __init__(self, window: int, **params: int) -> None:
+        self._dual = self._dual_type(window, **params)
         # Live-mode tie handling: the original-time frontier plus pre-stamp
         # summary snapshots of every node touched at the current stamp.
         self._stamp: Optional[int] = None
-        self._stamp_snapshots: Dict[Node, Optional[IRSSummary]] = {}
+        self._stamp_snapshots: Dict[Node, Any] = {}
         # Label children are resolved once; .inc()/.time() stay cheap.
-        self._obs_events = _EVENTS.labels(kind="exact")
-        self._obs_latency = _EVENT_SECONDS.labels(kind="exact")
-        self._obs_entries = _ENTRIES.labels(kind="exact")
+        self._obs_events = _EVENTS.labels(kind=self._kind)
+        self._obs_latency = _EVENT_SECONDS.labels(kind=self._kind)
+        self._obs_entries = _ENTRIES.labels(kind=self._kind)
         self._obs_seen = 0
+
+    @classmethod
+    def from_log(cls: Type[T], log: InteractionLog, window: int, **params: int) -> T:
+        """Replay a whole log (ties batched via the dual's ``from_log``).
+
+        ``params`` are the constructor's keyword options (``precision``
+        and ``salt`` for the sketch index).
+        """
+        require_type(log, "log", InteractionLog)
+        index = cls(window, **params)
+        index._dual = index._dual_type.from_log(log.time_reversed(), window, **params)
+        return index
 
     @property
     def window(self) -> int:
         """The duration budget ω."""
-        return self._window
+        return self._dual.window
 
     @property
     def nodes(self) -> Iterable[Node]:
         """All nodes seen so far."""
         return self._dual.nodes
+
+    @property
+    def last_time(self) -> Optional[int]:
+        """Original-time frontier of :meth:`observe` (None before any event)."""
+        return self._stamp
 
     @invariant(post_streaming_process)
     def process(self, source: Node, target: Node, time: int) -> None:
@@ -121,10 +141,7 @@ class StreamingExactIndex:
         with self._obs_latency.time():
             self._dual.process(target, source, -time)
         if _OBS.enabled:
-            self._obs_events.inc()
-            self._obs_seen += 1
-            if self._obs_seen % _ENTRIES_SAMPLE_EVERY == 0:
-                self._obs_entries.set(self._dual.entry_count())
+            self._count_event()
 
     @invariant(post_streaming_process)
     def observe(self, source: Node, target: Node, time: int) -> None:
@@ -153,26 +170,46 @@ class StreamingExactIndex:
             snapshots = self._stamp_snapshots
             for node in (target, source):
                 if node not in snapshots:
-                    snapshots[node] = self._dual.summary_snapshot(node)
+                    snapshots[node] = self._dual.snapshot(node)
             self._dual.process_tied(target, source, -time, snapshots[source])
         if _OBS.enabled:
-            self._obs_events.inc()
-            self._obs_seen += 1
-            if self._obs_seen % _ENTRIES_SAMPLE_EVERY == 0:
-                self._obs_entries.set(self._dual.entry_count())
+            self._count_event()
 
-    @classmethod
-    def from_log(cls, log: InteractionLog, window: int) -> "StreamingExactIndex":
-        """Replay a whole log (ties batched via the dual's from_log)."""
-        require_type(log, "log", InteractionLog)
-        index = cls(window)
-        index._dual = ExactIRS.from_log(log.time_reversed(), window)
-        return index
+    def _count_event(self) -> None:
+        self._obs_events.inc()
+        self._obs_seen += 1
+        if self._obs_seen % _ENTRIES_SAMPLE_EVERY == 0:
+            self._obs_entries.set(self._dual.entry_count())
 
-    @property
-    def last_time(self) -> Optional[int]:
-        """Original-time frontier of :meth:`observe` (None before any event)."""
-        return self._stamp
+    def audience_overlap(self, nodes: Iterable[Node]) -> float:
+        """``|⋃ σω_in(v)|`` — distinct users who could have influenced any
+        of ``nodes`` (exact count or sketch estimate)."""
+        return self._dual.spread(nodes)
+
+    def entry_count(self) -> int:
+        """Stored summary entries (sketch pairs for the sketch index)."""
+        return self._dual.entry_count()
+
+
+class StreamingExactIndex(_StreamingIndex[ExactIRS]):
+    """Exact influenced-by sets, maintained as interactions arrive.
+
+    Parameters
+    ----------
+    window:
+        Maximum channel duration ω.
+
+    Example
+    -------
+    >>> index = StreamingExactIndex(window=5)
+    >>> index.process("a", "b", 1)
+    >>> index.process("b", "c", 3)
+    >>> sorted(index.influencers("c"))
+    ['a', 'b']
+    """
+
+    _dual_type = ExactIRS
+    _kind = "exact"
 
     def influencers(self, node: Node, since: Optional[int] = None) -> set[Node]:
         """``σω_in(node)`` — everyone with an in-budget channel into node.
@@ -235,111 +272,24 @@ class StreamingExactIndex:
         dual_lambda = self._dual.summary(node).earliest_end(influencer)
         return -dual_lambda if dual_lambda is not None else None
 
-    def audience_overlap(self, nodes: Iterable[Node]) -> int:
-        """``|⋃ σω_in(v)|`` — distinct users who could have influenced any
-        of ``nodes``."""
-        return self._dual.spread(nodes)
 
-    def entry_count(self) -> int:
-        """Stored summary entries."""
-        return self._dual.entry_count()
-
-
-class StreamingSketchIndex:
+class StreamingSketchIndex(_StreamingIndex[ApproxIRS]):
     """Sketch-based influenced-by counts, maintained as interactions arrive.
 
     The memory-bounded sibling of :class:`StreamingExactIndex`: per node a
     versioned HLL over the dual stream, β = ``2**precision`` cells.
     """
 
-    def __init__(self, window: int, precision: int = 9, salt: int = 0) -> None:
-        require_int(window, "window")
-        require_non_negative(window, "window")
-        self._window = window
-        self._dual = ApproxIRS(window, precision=precision, salt=salt)
-        self._stamp: Optional[int] = None
-        self._stamp_snapshots: Dict[Node, Optional[VersionedHLL]] = {}
-        self._obs_events = _EVENTS.labels(kind="sketch")
-        self._obs_latency = _EVENT_SECONDS.labels(kind="sketch")
-        self._obs_entries = _ENTRIES.labels(kind="sketch")
-        self._obs_seen = 0
+    _dual_type = ApproxIRS
+    _kind = "sketch"
 
-    @property
-    def window(self) -> int:
-        """The duration budget ω."""
-        return self._window
+    def __init__(self, window: int, precision: int = 9, salt: int = 0) -> None:
+        super().__init__(window, precision=precision, salt=salt)
 
     @property
     def precision(self) -> int:
         """Sketch index bits."""
         return self._dual.precision
-
-    @property
-    def nodes(self) -> Iterable[Node]:
-        """All nodes seen so far."""
-        return self._dual.nodes
-
-    @invariant(post_streaming_process)
-    def process(self, source: Node, target: Node, time: int) -> None:
-        """Feed one interaction; times must be strictly increasing."""
-        require_int(time, "time")
-        with self._obs_latency.time():
-            self._dual.process(target, source, -time)
-        if _OBS.enabled:
-            self._obs_events.inc()
-            self._obs_seen += 1
-            if self._obs_seen % _ENTRIES_SAMPLE_EVERY == 0:
-                self._obs_entries.set(self._dual.entry_count())
-
-    @classmethod
-    def from_log(
-        cls,
-        log: InteractionLog,
-        window: int,
-        precision: int = 9,
-        salt: int = 0,
-    ) -> "StreamingSketchIndex":
-        """Replay a whole log."""
-        require_type(log, "log", InteractionLog)
-        index = cls(window, precision=precision, salt=salt)
-        index._dual = ApproxIRS.from_log(
-            log.time_reversed(), window, precision=precision, salt=salt
-        )
-        return index
-
-    @invariant(post_streaming_process)
-    def observe(self, source: Node, target: Node, time: int) -> None:
-        """Feed one interaction; times must be non-decreasing (live mode).
-
-        The sketch twin of :meth:`StreamingExactIndex.observe`: tied
-        stamps merge from pre-stamp sketch snapshots so tied edges never
-        chain.
-        """
-        require_int(time, "time")
-        if self._stamp is not None and time < self._stamp:
-            raise ValueError(
-                f"live interactions must arrive in non-decreasing time order: "
-                f"got t={time} after t={self._stamp}"
-            )
-        with self._obs_latency.time():
-            if time != self._stamp:
-                self._stamp = time
-                self._stamp_snapshots.clear()
-            snapshots = self._stamp_snapshots
-            for node in (target, source):
-                if node not in snapshots:
-                    snapshots[node] = self._dual.sketch_snapshot(node)
-            self._dual.process_tied(target, source, -time, snapshots[source])
-        if _OBS.enabled:
-            self._obs_events.inc()
-            self._obs_seen += 1
-            if self._obs_seen % _ENTRIES_SAMPLE_EVERY == 0:
-                self._obs_entries.set(self._dual.entry_count())
-
-    @property
-    def last_time(self) -> Optional[int]:
-        """Original-time frontier of :meth:`observe` (None before any event)."""
-        return self._stamp
 
     def influencer_estimate(self, node: Node, since: Optional[int] = None) -> float:
         """Estimated ``|σω_in(node)|``.
@@ -362,14 +312,6 @@ class StreamingSketchIndex:
         """
         require_int(cutoff, "cutoff")
         return self._dual.prune_ends_after(-cutoff)
-
-    def audience_overlap(self, nodes: Iterable[Node]) -> float:
-        """Estimated ``|⋃ σω_in(v)|`` over the given nodes."""
-        return self._dual.spread(nodes)
-
-    def entry_count(self) -> int:
-        """Stored sketch pairs."""
-        return self._dual.entry_count()
 
 
 def influencers_of(

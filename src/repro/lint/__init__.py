@@ -23,7 +23,10 @@ rests on but the Python type system never sees:
 
 This package deliberately depends on nothing outside the standard
 library so that the algorithm modules can import the contract decorators
-without creating import cycles.
+without creating import cycles.  Importing it loads only the runtime
+layers; the static linter lives in its submodules (``repro.lint.engine``,
+``.rules``, ``.project``, ``.baseline``, ``.sarif``, ``.reporting``) and
+is imported from there, so ``import repro.core`` never pays for it.
 """
 
 from __future__ import annotations
@@ -38,41 +41,15 @@ from repro.lint.contracts import (
     contracts_enabled,
     invariant,
 )
-from repro.lint.baseline import Baseline
-from repro.lint.engine import (
-    LintEngine,
-    Violation,
-    lint_paths,
-    lint_project_sources,
-    lint_source,
-)
 from repro.lint.locktrace import LOCKS_ENV, locks_enabled
-from repro.lint.project import ProjectIndex
-from repro.lint.reporting import render_json, render_text
-from repro.lint.rules import Rule, all_rules, expand_rule_selectors, get_rule
-from repro.lint.sarif import render_sarif
 
 __all__ = [
     "ALLOC_ENV",
-    "Baseline",
     "CONTRACTS_ENV",
     "ContractViolation",
     "LOCKS_ENV",
-    "LintEngine",
-    "ProjectIndex",
-    "Rule",
-    "Violation",
-    "all_rules",
     "allocs_enabled",
     "contracts_enabled",
-    "expand_rule_selectors",
-    "get_rule",
     "invariant",
     "locks_enabled",
-    "lint_paths",
-    "lint_project_sources",
-    "lint_source",
-    "render_json",
-    "render_sarif",
-    "render_text",
 ]

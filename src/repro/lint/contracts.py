@@ -268,7 +268,7 @@ def post_approx_apply(self: Any, args: tuple, kwargs: dict, result: Any) -> None
     """After ``ApproxIRS._apply`` the touched sketch keeps its invariants."""
     source = _argument(args, kwargs, 0, "source")
     time = _argument(args, kwargs, 2, "time")
-    sketch = self._sketches.get(source)
+    sketch = self._summaries.get(source)
     if sketch is None:
         return
     check_vhll_dominance(sketch)

@@ -7,7 +7,7 @@ import, mirroring :mod:`repro.lint.contracts`) or programmatically:
     import repro.obs as obs
 
     obs.enable()
-    index = ExactIRS.from_log(log, window=3600.0)
+    index = ExactIRS.from_log(log, window=3600)
     print(obs.render_report(obs.snapshot()))
 
 The disabled path of every metric update is a single attribute check on

@@ -29,8 +29,8 @@ counterpart as ground truth.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Dict, Hashable, Iterable, Optional
+from bisect import bisect_left
+from typing import Dict, Hashable, Iterable
 
 from repro.sketch.hashing import MASK64, hash64
 from repro.utils.validation import (
@@ -203,6 +203,12 @@ class VersionedBottomK:
             raise ValueError("cannot merge sketches with different (k, salt)")
         for value, timestamp in other._entries.items():
             self._insert(value, timestamp)
+
+    def copy(self) -> "VersionedBottomK":
+        """An independent sketch with the same entries."""
+        clone = VersionedBottomK(self._k, self._salt)
+        clone._entries = dict(self._entries)
+        return clone
 
     def cardinality(self) -> float:
         """The (k−1)/h_k estimate over the stored entries."""

@@ -109,7 +109,7 @@ class TestFrontierStructure:
     def test_frontier_strictly_decreasing(self, small_email_log):
         index = MultiWindowIRS.from_log(small_email_log)
         for source in list(index.nodes)[:20]:
-            for target in list(index._frontiers[source])[:20]:
+            for target in list(index._summaries[source])[:20]:
                 entries = index.frontier(source, target)
                 starts = [s for s, _ in entries]
                 ends = [e for _, e in entries]

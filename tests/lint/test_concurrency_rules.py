@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.lint import lint_project_sources, lint_source
+from repro.lint.engine import lint_project_sources, lint_source
 from repro.lint.concurrency import (
     LOCK_CONSTRUCTORS,
     BlockingCallUnderLock,

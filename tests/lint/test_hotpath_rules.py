@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import repro
-from repro.lint import lint_project_sources
+from repro.lint.engine import lint_project_sources
 from repro.lint.hotpath import (
     HotLinearMembership,
     HotLoopAllocation,

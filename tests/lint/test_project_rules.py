@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lint import lint_project_sources, lint_source
+from repro.lint.engine import lint_project_sources, lint_source
 from repro.lint.rules import get_rule
 from repro.lint.rules_project import (
     ComplexityBudget,

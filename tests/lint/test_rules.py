@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.lint import LintEngine, all_rules, get_rule, lint_source
 from repro.lint.cli import main
+from repro.lint.engine import LintEngine, lint_source
 from repro.lint.rules import (
     NoDirectTimingCalls,
     NoMutableDefaultArguments,
@@ -17,6 +17,8 @@ from repro.lint.rules import (
     NoWallClockOrUnseededRandom,
     PublicApiFullyAnnotated,
     ValidateAlgorithmParameters,
+    all_rules,
+    get_rule,
     select_rules,
 )
 
