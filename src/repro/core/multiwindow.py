@@ -121,18 +121,18 @@ class MultiWindowIRS(ReverseScan[Frontier]):
     ) -> None:
         entries = frontier.get(target)
         if entries is None:
-            frontier[target] = [(start, end)]  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
+            frontier[target] = [(start, end)]  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
             return
         last_start, last_end = entries[-1]
         if start == last_start:
             # Same batch stamp: keep the smaller end.
             if end < last_end:
-                entries[-1] = (start, end)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
+                entries[-1] = (start, end)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
             return
         # Reverse scan guarantees start < last_start; the new entry joins
         # the frontier iff it strictly improves the minimal end.
         if end < last_end:
-            entries.append((start, end))  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
+            entries.append((start, end))  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
 
     # ------------------------------------------------------------------
     # Queries
@@ -147,7 +147,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return None
-        return min(end - start + 1 for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
+        return min(end - start + 1 for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
 
     def reaches(self, source: Node, target: Node, window: int) -> bool:
         """``target ∈ σω(source)`` for ω = ``window``."""
@@ -155,7 +155,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return False
-        return any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
+        return any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
 
     def earliest_end(
         self, source: Node, target: Node, window: int
@@ -166,7 +166,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         if not entries:
             return None
         candidates = [
-            end for start, end in entries if end - start + 1 <= window  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
+            end for start, end in entries if end - start + 1 <= window  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
         ]
         return min(candidates) if candidates else None
 
@@ -177,7 +177,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         return {
             target
             for target, entries in frontier.items()
-            if any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are (start, end) tuple lists; packed layout is ROADMAP item 3)
+            if any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
         }
 
     def irs_size(self, source: Node, window: int) -> int:

@@ -170,11 +170,14 @@ def check_vhll_dominance(sketch: Any) -> None:
     In list order the ``(t, ρ)`` pairs must have strictly increasing
     ``t`` *and* strictly increasing ρ (paper §3.2.2): equal or decreasing
     values in either coordinate mean a dominated pair survived pruning
-    or the time sort broke.
+    or the time sort broke.  The sparse cell map must hold only filled
+    cells: a stored empty list or a key outside ``[0, β)`` is corruption.
     """
-    for index, cell in enumerate(sketch._cells):
+    for index, cell in sketch._cells.items():
+        if not isinstance(index, int) or not 0 <= index < sketch._m:
+            _fail(f"vHLL cell key {index!r} is outside [0, {sketch._m})")
         if not cell:
-            continue
+            _fail(f"vHLL cell {index} is stored as an empty list")
         previous_t: Optional[int] = None
         previous_r: Optional[int] = None
         for t, r in cell:
@@ -272,8 +275,8 @@ def post_approx_apply(self: Any, args: tuple, kwargs: dict, result: Any) -> None
     if sketch is None:
         return
     check_vhll_dominance(sketch)
-    for index, cell in enumerate(sketch._cells):
-        if cell and cell[0][0] < time:
+    for index, cell in sketch._cells.items():
+        if cell[0][0] < time:
             _fail(
                 f"sketch of {source!r} cell {index} holds a pair ending at "
                 f"t={cell[0][0]}, before the scan frontier t={time}"

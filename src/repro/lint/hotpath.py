@@ -1,12 +1,12 @@
 """Hot-path performance lint: the hot-region model and rules R301–R305.
 
-ROADMAP item 3 names the sketch hot path — dict-of-lists of ``(t, ρ)``
-pairs in ``VersionedHLL``/``IRSSummary`` — as the dominant cost of an
-approx build (~414k pair inserts per run), and the planned packed-array
-rewrite needs a machine-checked map of where allocation and
-pointer-chasing happen before anyone touches the layout.  This module
-provides that map as lint rules, so hot-path regressions are caught the
-same way lock-discipline regressions already are (R201–R205).
+The sketch hot path — the sparse cell map of ``(t, ρ)`` pair lists in
+``VersionedHLL`` and the λ-maps of ``IRSSummary`` — is the dominant cost
+of an approx build (~80k pair insert attempts per ``enron-sim`` build),
+and any change to that layout needs a machine-checked map of where
+allocation and pointer-chasing happen.  This module provides that map as
+lint rules, so hot-path regressions are caught the same way
+lock-discipline regressions already are (R201–R205).
 
 Hot-region model
 ----------------
@@ -110,10 +110,10 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _SCOPE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Where R304 points: the packed register layout the snapshot format
-#: already uses, and the roadmap item that will adopt it in memory.
+#: already uses.
 _PACKED_LAYOUT_HINT = (
     "parallel arrays — the packed (t, rho) register layout serve/snapshot.py "
-    "serialises as repro-snap/1 — avoid per-pair tuple objects (ROADMAP item 3)"
+    "serialises as repro-snap/1 — avoid per-pair tuple objects"
 )
 
 

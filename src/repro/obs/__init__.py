@@ -25,6 +25,7 @@ JSON-lines / Prometheus / table renderings.
 
 from __future__ import annotations
 
+import importlib
 from typing import List, Optional, Tuple
 
 # The lock sanitizer must patch the threading factories before anything
@@ -201,11 +202,11 @@ def write_snapshot(path: str, format: Optional[str] = None) -> None:
         handle.write(text)
 
 
-# The profiling layers live in submodules (obs.profile / obs.memprof /
-# obs.trend); bind them to this registry's span recorder so profiler
-# attributions group under the live span tree, and so enabling either
-# profiler also turns the span/metric layer on.
-from repro.obs import memprof, profile, slo, trend  # noqa: E402  (needs _SPANS)
+# The profiling layers live in submodules (obs.profile / obs.memprof);
+# bind them to this registry's span recorder so profiler attributions
+# group under the live span tree, and so enabling either profiler also
+# turns the span/metric layer on.
+from repro.obs import memprof, profile  # noqa: E402  (needs _SPANS)
 
 profile._bind(_SPANS.current_path, REGISTRY.enable)
 memprof._bind(_SPANS, REGISTRY.enable)
@@ -217,3 +218,14 @@ memprof._bind(_SPANS, REGISTRY.enable)
 REGISTRY.enable_from_env()
 profile.enable_from_env()
 memprof.enable_from_env()
+
+#: Submodules only the CLI, serve and benchmark layers use; the algorithm
+#: layer imports ``repro.obs`` for counters and spans and never pays for them.
+_LAZY_SUBMODULES = frozenset({"slo", "trend"})
+
+
+def __getattr__(name: str) -> object:
+    """Import ``obs.slo`` / ``obs.trend`` on first attribute access (PEP 562)."""
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

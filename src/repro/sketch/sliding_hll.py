@@ -17,7 +17,9 @@ timestamps increase and the ρ values strictly decrease, so
   ρ is the window's register value — in O(log log n) expected.
 
 Expected list length is O(log W) for windows of W arrivals, by the same
-record-value argument as the paper's Lemma 4.
+record-value argument as the paper's Lemma 4.  Cells are sparse, as in
+:class:`~repro.sketch.vhll.VersionedHLL`: only filled cells are stored,
+so pruning and register queries cost O(filled cells), not O(β).
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ class SlidingWindowHLL:
         self._precision = precision
         self._m = 1 << precision
         self._salt = salt
-        # Per cell: list of (timestamp, rho), timestamps increasing and rho
-        # strictly decreasing (the suffix-maxima frontier).
-        self._cells: list[Optional[list[tuple[int, int]]]] = [None] * self._m
+        # Filled cells only: cell index -> non-empty list of (timestamp, rho),
+        # timestamps increasing and rho strictly decreasing (the
+        # suffix-maxima frontier).  Pruning deletes a cell's key once empty.
+        self._cells: dict[int, list[tuple[int, int]]] = {}
         self._last_time: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -85,7 +88,7 @@ class SlidingWindowHLL:
 
     def entry_count(self) -> int:
         """Stored ``(t, ρ)`` pairs across all cells."""
-        return sum(len(cell) for cell in self._cells if cell)
+        return sum(map(len, self._cells.values()))
 
     # ------------------------------------------------------------------
     # Updates
@@ -100,7 +103,7 @@ class SlidingWindowHLL:
             )
         self._last_time = timestamp
         cell_index, r = split_hash(item, self._precision, self._salt)
-        pairs = self._cells[cell_index]
+        pairs = self._cells.get(cell_index)
         if pairs is None:
             self._cells[cell_index] = [(timestamp, r)]
             return
@@ -108,6 +111,9 @@ class SlidingWindowHLL:
         # least as recent AND at least as large, so it dominates them.
         while pairs and pairs[-1][1] <= r:
             pairs.pop()
+        if pairs and pairs[-1][0] == timestamp:
+            # A same-time pair with larger rho dominates the arrival.
+            return
         pairs.append((timestamp, r))
 
     def add_at(self, item: Hashable, timestamp: int) -> None:
@@ -124,7 +130,7 @@ class SlidingWindowHLL:
             self.add(item, timestamp)
             return
         cell_index, r = split_hash(item, self._precision, self._salt)
-        pairs = self._cells[cell_index]
+        pairs = self._cells.get(cell_index)
         if pairs is None:
             self._cells[cell_index] = [(timestamp, r)]
             return
@@ -155,14 +161,15 @@ class SlidingWindowHLL:
         tracking an endless stream with a fixed maximum window length.
         """
         require_int(before, "before")
-        for index, pairs in enumerate(self._cells):
-            if not pairs:
-                continue
+        emptied = []
+        for index, pairs in self._cells.items():
             cut = bisect_left(pairs, before, key=lambda pair: pair[0])
-            if cut:
+            if cut == len(pairs):
+                emptied.append(index)
+            elif cut:
                 del pairs[:cut]
-                if not pairs:
-                    self._cells[index] = None
+        for index in emptied:
+            del self._cells[index]
 
     # ------------------------------------------------------------------
     # Queries
@@ -173,14 +180,11 @@ class SlidingWindowHLL:
         Within a cell the frontier's ρ decreases with time, so the first
         pair inside the window carries the maximum.
         """
-        registers = []
-        append = registers.append
-        for pairs in self._cells:
-            if not pairs:
-                append(0)
-                continue
+        registers = [0] * self._m
+        for cell, pairs in self._cells.items():
             index = bisect_left(pairs, start, key=lambda pair: pair[0])
-            append(pairs[index][1] if index < len(pairs) else 0)
+            if index < len(pairs):
+                registers[cell] = pairs[index][1]
         return registers
 
     def cardinality_since(self, start: int) -> float:
@@ -189,7 +193,10 @@ class SlidingWindowHLL:
 
     def registers(self) -> list[int]:
         """Per-cell max ρ over the whole stream (the plain HLL registers)."""
-        return [pairs[0][1] if pairs else 0 for pairs in self._cells]
+        registers = [0] * self._m
+        for cell, pairs in self._cells.items():
+            registers[cell] = pairs[0][1]
+        return registers
 
     def cardinality(self) -> float:
         """Estimated distinct items over the whole stream seen so far."""

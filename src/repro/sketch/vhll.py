@@ -74,6 +74,11 @@ class VersionedHLL:
     numbers).  Cell lists store ``(t, ρ)`` pairs sorted by strictly
     increasing ``t`` with strictly increasing ρ — the Pareto frontier of the
     dominance order above.
+
+    Cells are sparse: ``_cells`` maps a cell index to its non-empty pair
+    list, and an absent key is an empty cell.  A per-node sketch of an
+    IRS build fills only a handful of its β cells, so every walk below
+    costs O(filled cells) rather than O(β).
     """
 
     __slots__ = ("_precision", "_m", "_salt", "_cells")
@@ -85,9 +90,9 @@ class VersionedHLL:
         self._precision = precision
         self._m = 1 << precision
         self._salt = salt
-        # One list of (t, rho) pairs per cell; lazily created to keep empty
-        # sketches cheap (one per node of the graph is allocated).
-        self._cells: list[Optional[list[tuple[int, int]]]] = [None] * self._m
+        # Filled cells only: cell index -> non-empty list of (t, rho) pairs.
+        # Never holds an empty list; pruning deletes the key instead.
+        self._cells: dict[int, list[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -113,15 +118,18 @@ class VersionedHLL:
         This is the quantity the memory-accounting experiment (paper Table 4)
         tracks: each pair costs a constant number of machine words.
         """
-        return sum(len(cell) for cell in self._cells if cell)
+        return sum(map(len, self._cells.values()))
 
     def cell_lengths(self) -> list[int]:
         """Per-cell list lengths (used to validate Lemma 4 empirically)."""
-        return [len(cell) if cell else 0 for cell in self._cells]
+        lengths = [0] * self._m
+        for index, pairs in self._cells.items():
+            lengths[index] = len(pairs)
+        return lengths
 
     def is_empty(self) -> bool:
-        """True if no pair has ever been stored."""
-        return all(not cell for cell in self._cells)
+        """True if no pair is stored."""
+        return not self._cells
 
     # ------------------------------------------------------------------
     # Updates
@@ -143,21 +151,24 @@ class VersionedHLL:
         Pareto-frontier invariant.
         """
         self._check_time(timestamp)
-        self._insert_pair(cell, r, timestamp)
+        self._insert_pair(cell, (timestamp, r))
 
     # repro-lint: hotpath
-    def _insert_pair(self, cell: int, r: int, timestamp: int) -> None:
-        """:meth:`add_pair` without argument validation, for trusted loops."""
+    def _insert_pair(self, cell: int, pair: tuple[int, int]) -> None:
+        """Splice ``pair = (t, ρ)`` into ``cell``; no argument validation.
+
+        Pairs are immutable, so the merges hand over the donor's own
+        tuple and sketches share it instead of copying.
+        """
         if not 0 <= cell < self._m:
             raise ValueError(f"cell must be in [0, {self._m}), got {cell}")
-        pairs = self._cells[cell]
+        pairs = self._cells.get(cell)
         if pairs is None:
-            # The (t, ρ) list-of-tuples cell layout is the paper's data
-            # structure; the packed-array rewrite is ROADMAP item 3.
-            self._cells[cell] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
+            self._cells[cell] = [pair]
             if _OBS.enabled:
                 _PAIRS_INSERTED.inc()
             return
+        timestamp, r = pair
         # Position of the first pair with t >= timestamp.
         i = bisect_left(pairs, timestamp, key=_TIME_KEY)
         # A dominating pair has t' <= timestamp and rho' >= r.  Pairs are
@@ -182,7 +193,7 @@ class VersionedHLL:
         n = len(pairs)
         while j < n and pairs[j][1] <= r:
             j += 1
-        pairs[i:j] = [(timestamp, r)]  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
+        pairs[i:j] = [pair]
         if _OBS.enabled:
             _PAIRS_INSERTED.inc()
             if j > i:
@@ -198,11 +209,9 @@ class VersionedHLL:
         """
         self._check_compatible(other)
         insert_pair = self._insert_pair
-        for cell_index, pairs in enumerate(other._cells):  # repro-lint: budget=O(m·F)
-            if not pairs:
-                continue
-            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
-                insert_pair(cell_index, r, t)
+        for cell_index, pairs in other._cells.items():  # repro-lint: budget=O(filled cells·F)
+            for pair in pairs:
+                insert_pair(cell_index, pair)
 
     @invariant(post_vhll_mutation)
     @hotpath
@@ -220,13 +229,11 @@ class VersionedHLL:
         require_non_negative(window, "window")
         deadline = start_time + window  # exclusive: keep t < deadline
         insert_pair = self._insert_pair
-        for cell_index, pairs in enumerate(other._cells):  # repro-lint: budget=O(m·F)
-            if not pairs:
-                continue
-            for t, r in pairs:  # repro-lint: disable=R304 (packed layout is ROADMAP item 3)
-                if t >= deadline:
+        for cell_index, pairs in other._cells.items():  # repro-lint: budget=O(filled cells·F)
+            for pair in pairs:
+                if pair[0] >= deadline:
                     break  # pairs are time-sorted; the rest are too late
-                insert_pair(cell_index, r, t)
+                insert_pair(cell_index, pair)
 
     def prune_newer_than(self, max_time: int) -> int:
         """Discard pairs with ``t > max_time``; return the eviction count.
@@ -244,16 +251,18 @@ class VersionedHLL:
         """
         require_int(max_time, "max_time")
         evicted = 0
-        for index, pairs in enumerate(self._cells):
-            if not pairs:
-                continue
+        emptied = []
+        for index, pairs in self._cells.items():
             size = len(pairs)
             cut = bisect_right(pairs, max_time, key=_TIME_KEY)
             if cut < size:
                 evicted += size - cut
-                del pairs[cut:]
-                if not pairs:
-                    self._cells[index] = None
+                if cut:
+                    del pairs[cut:]
+                else:
+                    emptied.append(index)
+        for index in emptied:
+            del self._cells[index]
         return evicted
 
     # ------------------------------------------------------------------
@@ -269,25 +278,10 @@ class VersionedHLL:
 
         ``None`` bounds are unconstrained.  Because ρ increases with ``t``
         within a cell, the qualifying pair with the largest ``t`` carries the
-        maximum ρ, so each cell is answered with one bisection.
+        maximum ρ, so each filled cell is answered with one bisection.
         """
-        registers: list[int] = []
-        append = registers.append
-        for pairs in self._cells:
-            if not pairs:
-                append(0)
-                continue
-            hi = len(pairs)
-            if max_time is not None:
-                hi = bisect_right(pairs, max_time, key=_TIME_KEY)
-            if hi == 0:
-                append(0)
-                continue
-            t, r = pairs[hi - 1]
-            if min_time is not None and t < min_time:
-                append(0)
-            else:
-                append(r)
+        registers = [0] * self._m
+        self.max_registers_into(registers, min_time, max_time)
         return registers
 
     @hotpath
@@ -308,9 +302,7 @@ class VersionedHLL:
             raise ValueError(
                 f"registers has length {len(registers)}, expected {self._m}"
             )
-        for cell, pairs in enumerate(self._cells):
-            if not pairs:
-                continue
+        for cell, pairs in self._cells.items():
             hi = len(pairs)
             if max_time is not None:
                 hi = bisect_right(pairs, max_time, key=_TIME_KEY)
@@ -339,7 +331,7 @@ class VersionedHLL:
     def copy(self) -> "VersionedHLL":
         """An independent deep copy (cell lists are not shared)."""
         clone = VersionedHLL(self._precision, self._salt)
-        clone._cells = [list(pairs) if pairs else None for pairs in self._cells]  # repro-lint: disable=R301 (deliberate deep copy; cell lists must not be shared)
+        clone._cells = {index: list(pairs) for index, pairs in self._cells.items()}  # repro-lint: disable=R301 (deliberate deep copy; cell lists must not be shared)
         return clone
 
     # ------------------------------------------------------------------
@@ -350,7 +342,7 @@ class VersionedHLL:
         return {
             "precision": self._precision,
             "salt": self._salt,
-            "cells": [list(map(list, pairs)) if pairs else [] for pairs in self._cells],
+            "cells": [list(map(list, self._cells.get(index, ()))) for index in range(self._m)],
         }
 
     @classmethod

@@ -93,6 +93,24 @@ def test_unsorted_vhll_cell_list_raises():
         check_vhll_dominance(sketch)
 
 
+def test_stored_empty_vhll_cell_raises():
+    sketch = VersionedHLL(precision=4)
+    sketch.add_pair(2, 3, 10)
+    check_vhll_dominance(sketch)
+    # Empty cells are absent keys; a stored empty list is corruption.
+    sketch._cells[5] = []
+    with pytest.raises(ContractViolation, match="empty list"):
+        check_vhll_dominance(sketch)
+
+
+@pytest.mark.parametrize("key", [-1, 16, "0"])
+def test_vhll_cell_key_out_of_range_raises(key):
+    sketch = VersionedHLL(precision=4)
+    sketch._cells[key] = [(10, 3)]
+    with pytest.raises(ContractViolation, match="outside"):
+        check_vhll_dominance(sketch)
+
+
 def test_check_time_sorted():
     check_time_sorted([1, 2, 2, 5])
     check_time_sorted([1, 2, 5], strict=True)

@@ -153,10 +153,10 @@ def test_watch_site_accounting_honours_the_filter(sanitizer, monkeypatch):
 
 
 def test_vhll_insert_sites_show_up_in_the_watch_report(sanitizer):
-    """The R304-suppressed vhll lines allocate for real.
+    """The vhll insert lines allocate for real.
 
-    The static pass points at the tuple-packing lines in
-    ``VersionedHLL._insert_pair``; under the sanitizer those exact
+    ``VersionedHLL.add_pair`` packs one ``(t, ρ)`` tuple per call and
+    ``_insert_pair`` opens a list per new cell; under the sanitizer those
     ``sketch/vhll.py`` sites retain measurable blocks.
     """
     sketch = VersionedHLL(precision=4)

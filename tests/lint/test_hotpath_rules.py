@@ -375,7 +375,7 @@ def test_unhoisting_the_vhll_merge_fix_retriggers_r302():
     # again inside the nested merge loops and drop the hoists.
     reverted = source.replace(
         "        insert_pair = self._insert_pair\n", ""
-    ).replace("insert_pair(cell_index, r, t)", "self._insert_pair(cell_index, r, t)")
+    ).replace("insert_pair(cell_index, pair)", "self._insert_pair(cell_index, pair)")
     assert reverted != source, "expected the committed hoist to be present"
     found = violations_for({"src/repro/sketch/vhll.py": reverted}, "R302")
     assert found, "un-hoisting self._insert_pair must re-trigger R302"

@@ -14,14 +14,15 @@ PROBE = (
 )
 
 
-def _run(env_value):
+def _run(env_value, code=PROBE, extra_env=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     env.pop(OBS_ENV, None)
     if env_value is not None:
         env[OBS_ENV] = env_value
+    env.update(extra_env or {})
     result = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
@@ -40,3 +41,33 @@ def test_unset_or_zero_stays_disabled():
 def test_any_other_value_enables_at_import():
     assert _run("1") == "enabled"
     assert _run("jsonl") == "enabled"
+
+
+LAZY = ("repro.obs.slo", "repro.obs.trend")
+
+
+def test_import_core_leaves_slo_and_trend_unloaded():
+    code = f"import sys, repro.core; print([m for m in {LAZY!r} if m in sys.modules])"
+    assert _run(None, code) == "[]"
+
+
+def test_slo_and_trend_load_on_first_attribute_access():
+    code = (
+        "import sys, repro.obs as obs; "
+        "print(obs.trend.__name__, obs.slo.__name__, "
+        f"all(m in sys.modules for m in {LAZY!r}))"
+    )
+    assert _run(None, code) == "repro.obs.trend repro.obs.slo True"
+
+
+def test_unknown_attribute_still_raises():
+    code = "import repro.obs as obs; print(hasattr(obs, 'no_such_layer'))"
+    assert _run(None, code) == "False"
+
+
+def test_profiler_env_opt_in_still_binds_at_import():
+    code = (
+        "import repro.obs as obs; "
+        "print(obs.enabled(), obs.profile.is_enabled())"
+    )
+    assert _run(None, code, {"REPRO_OBS_PROFILE": "1"}) == "True True"

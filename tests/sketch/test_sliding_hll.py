@@ -42,9 +42,8 @@ class TestAdd:
         sketch = SlidingWindowHLL(precision=3)
         for t in range(500):
             sketch.add(t * 7919 % 1000, t)
-        for pairs in sketch._cells:
-            if not pairs:
-                continue
+        for pairs in sketch._cells.values():
+            assert pairs  # empty cells are absent keys, never empty lists
             times = [t for t, _ in pairs]
             rhos = [r for _, r in pairs]
             assert times == sorted(times)
