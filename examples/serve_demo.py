@@ -2,7 +2,7 @@
 
 The deployment shape the serving layer exists for: one process pays the
 reverse-scan index build once and persists the resulting oracle as a
-``repro-snap/1`` file; serving processes then answer ``Inf(S)`` queries
+``repro-snap/2`` file; serving processes then answer ``Inf(S)`` queries
 from the file without ever seeing the interaction log.  This example walks
 the whole pipeline in-process —
 

@@ -22,7 +22,7 @@ Four subcommands cover the typical workflow end to end:
   two runs under the trend-delta gate (``xp diff``), or list persisted
   cells (``xp ls``) — see :mod:`repro.xp`;
 * ``snapshot`` — build an influence oracle from an edge list and persist
-  it as a ``repro-snap/1`` file (``snapshot save``), or verify and
+  it as a ``repro-snap/2`` file (``snapshot save``), or verify and
   summarise an existing one (``snapshot load``);
 * ``serve``    — boot the JSON-over-HTTP oracle server from a snapshot
   (see :mod:`repro.serve.http`; SIGTERM drains gracefully); ``--live``
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_ingest_parser(commands)
 
     snapshot_cmd = commands.add_parser(
-        "snapshot", help="build/inspect repro-snap/1 oracle snapshots"
+        "snapshot", help="build/inspect repro-snap/2 oracle snapshots"
     )
     snapshot_actions = snapshot_cmd.add_subparsers(dest="snapshot_command", required=True)
     snapshot_save = snapshot_actions.add_parser(
@@ -296,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot_load = snapshot_actions.add_parser(
         "load", help="load a snapshot back, verify CRCs, print a summary"
     )
-    snapshot_load.add_argument("snapshot", help="repro-snap/1 file")
+    snapshot_load.add_argument("snapshot", help="repro-snap/2 file")
 
     serve_cmd = commands.add_parser(
         "serve", help="serve influence queries over HTTP from a snapshot"
     )
-    serve_cmd.add_argument("snapshot", help="repro-snap/1 oracle snapshot")
+    serve_cmd.add_argument("snapshot", help="repro-snap/2 oracle snapshot")
     serve_cmd.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_cmd.add_argument(
         "--port", type=int, default=8750, help="bind port (0 picks a free one)"

@@ -208,6 +208,17 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
             return [0] * self._num_cells
         return found.effective_registers()
 
+    def register_map(self, node: Node) -> dict[int, int]:
+        """``node``'s nonzero registers as ``cell → ρ`` (empty if unknown).
+
+        The sparse form of :meth:`registers`, O(filled cells): what the
+        sketch oracle keeps per node.
+        """
+        found = self._summaries.get(node)
+        if found is None:
+            return {}
+        return found.register_map()
+
     def irs_estimate(self, node: Node) -> float:
         """Estimated ``|σω(node)|``."""
         found = self._summaries.get(node)
@@ -224,10 +235,13 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
 
         This is the approximate influence oracle of paper §4.1: unioning
         HyperLogLog sketches is a cell-wise ``max``, so the query cost is
-        O(|seeds|·β) regardless of network size.
+        O(Σ filled cells of the seeds + β) regardless of network size.  It
+        estimates through the same exact estimator as
+        :class:`~repro.core.oracle.ApproxInfluenceOracle`, so the two agree
+        bit for bit.
         """
         combined = [0] * self._num_cells
-        for seed in seeds:  # repro-lint: budget=O(|seeds|·β)
+        for seed in seeds:  # repro-lint: budget=O(Σ filled cells)
             sketch = self._summaries.get(seed)
             if sketch is None:
                 continue

@@ -23,7 +23,7 @@ Three selectors are provided:
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, List, Optional, Sequence
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import repro.obs as obs
 from repro.core.oracle import InfluenceOracle
@@ -56,14 +56,19 @@ _SEEDS_SELECTED = obs.counter(
 )
 
 
-def _candidate_list(
+def _ranked_candidates(
     oracle: InfluenceOracle, candidates: Optional[Iterable[Node]]
-) -> List[Node]:
+) -> Tuple[List[Node], List[float]]:
+    """Candidates strongest first, with their influences; each computed once.
+
+    Deterministic tie-breaking: influence descending, then stable repr.
+    """
     pool = list(candidates) if candidates is not None else list(oracle.nodes())
-    # Deterministic tie-breaking: sort by influence desc, then stable repr.
     pool.sort(key=repr)
-    pool.sort(key=oracle.influence, reverse=True)
-    return pool
+    influence = oracle.influence
+    scores = [influence(node) for node in pool]
+    order = sorted(range(len(pool)), key=scores.__getitem__, reverse=True)
+    return [pool[i] for i in order], [scores[i] for i in order]
 
 
 def _validate(oracle: InfluenceOracle, k: int) -> None:
@@ -90,21 +95,19 @@ def greedy_top_k(
         Restrict selection to this pool; defaults to every oracle node.
     """
     _validate(oracle, k)
-    pool = _candidate_list(oracle, candidates)
+    pool, upper_bounds = _ranked_candidates(oracle, candidates)
     selected: List[Node] = []
     covered = oracle.new_accumulator()
     chosen: set = set()
-    influence = oracle.influence
     oracle_gain = oracle.gain
     count_cutoff = _CUTOFF_BREAKS.inc
     count_eval = _GAIN_EVALS.inc
     while len(selected) < k and len(chosen) < len(pool):
         best_gain = -1.0
         best_node: Optional[Node] = None
-        for node in pool:
+        for node, upper_bound in zip(pool, upper_bounds):
             if node in chosen:
                 continue
-            upper_bound = influence(node)
             if best_node is not None and best_gain >= upper_bound:
                 # Candidates are influence-sorted, so no later node can beat
                 # the current best — the paper's `if gain > σu: break`.
@@ -137,13 +140,15 @@ def celf_top_k(
     if it stays on top it is selected without touching the other candidates.
     """
     _validate(oracle, k)
-    pool = _candidate_list(oracle, candidates)
     selected: List[Node] = []
     covered = oracle.new_accumulator()
-    # Heap of (-gain, insertion_index, node, round_evaluated).
-    heap: List[tuple] = []
-    for order, node in enumerate(pool):
-        heapq.heappush(heap, (-oracle.influence(node), order, node, -1))
+    # Heap of (-gain, insertion_index, node, round_evaluated); the ranked
+    # list is already in (-influence, index) order, hence a valid heap.
+    pool, influences = _ranked_candidates(oracle, candidates)
+    heap: List[tuple] = [
+        (-influence, order, node, -1)
+        for order, (node, influence) in enumerate(zip(pool, influences))
+    ]
     current_round = 0
     while len(selected) < k and heap:
         neg_gain, order, node, evaluated = heapq.heappop(heap)
@@ -168,8 +173,7 @@ def top_k_by_influence(
 ) -> List[Node]:
     """The ``k`` nodes with largest individual influence (overlap-blind)."""
     _validate(oracle, k)
-    pool = _candidate_list(oracle, candidates)
-    return pool[:k]
+    return _ranked_candidates(oracle, candidates)[0][:k]
 
 
 def spread_trajectory(oracle: InfluenceOracle, seeds: Sequence[Node]) -> List[float]:

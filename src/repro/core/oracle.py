@@ -8,9 +8,10 @@ Two interchangeable implementations are provided behind a common interface:
 
 * :class:`ExactInfluenceOracle` — backed by concrete Python sets, exact
   answers, O(Σ|σ(u)|) per query;
-* :class:`ApproxInfluenceOracle` — backed by flattened HyperLogLog register
-  arrays, ≈ 1.04/√β relative error, O(|S|·β) per query *independent of the
-  network size* (the property paper Figure 4 demonstrates).
+* :class:`ApproxInfluenceOracle` — backed by each node's filled HyperLogLog
+  registers, ≈ 1.04/√β relative error, O(Σ_{u∈S} filled cells of u) per
+  query — *independent of the network size* (the property paper Figure 4
+  demonstrates) and of β.
 
 Both expose an *accumulator* API (``new_accumulator`` / ``accumulate`` /
 ``value``) so the greedy maximization in :mod:`repro.core.maximization` can
@@ -21,13 +22,13 @@ scratch at every marginal-gain evaluation.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Hashable, Iterable, List, Set
+from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 import repro.obs as obs
 from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
 from repro.obs import OBS_STATE as _OBS
-from repro.sketch.hll import estimate_from_registers
+from repro.sketch.hll import INDICATOR_SHIFT, estimate_from_indicator
 from repro.utils.validation import require_int, require_type
 
 __all__ = [
@@ -189,26 +190,82 @@ class ExactInfluenceOracle(InfluenceOracle):
         return greedy_top_k(restricted, k)
 
 
-class ApproxInfluenceOracle(InfluenceOracle):
-    """Sketch-backed oracle over flattened HLL register arrays.
+#: ``2^-ρ`` scaled by ``2**INDICATOR_SHIFT`` for every register value a
+#: 64-bit hash can produce: the exact integer terms of the HLL indicator.
+_TERMS = tuple(1 << (INDICATOR_SHIFT - rho) for rho in range(INDICATOR_SHIFT + 1))
 
-    Per node only the β effective registers are kept (the version lists are
-    not needed once the reverse pass is finished), so a query unions seed
-    registers cell-wise and runs one HLL estimation — a few microseconds,
-    independent of how large the reachability sets actually are.
+
+class _SketchUnion(list):
+    """The accumulator of :class:`ApproxInfluenceOracle`.
+
+    A dense array of the union's β registers that also carries the union's
+    exact scaled indicator ``Σ 2^(64−M_j)`` and its zero-register count,
+    so folding in a node and pricing a gain touch only that node's filled
+    cells, and the estimate never rescans β registers.
+    """
+
+    __slots__ = ("indicator", "zeros")
+
+    indicator: int
+    zeros: int
+
+
+class ApproxInfluenceOracle(InfluenceOracle):
+    """Sketch-backed oracle over each node's filled HLL registers.
+
+    Per node only the effective registers of its *filled* cells are kept,
+    as a ``cell → ρ`` map (the version lists are not needed once the
+    reverse pass is finished).  A node of an IRS build fills a handful of
+    its β cells, so every query below costs O(Σ filled cells of the nodes
+    it names), not O(|S|·β) — independent of network size, as paper
+    Figure 4 shows, and of β too.
+
+    The public constructor takes dense β-long register arrays;
+    :meth:`from_cells` takes the sparse maps directly.
     """
 
     def __init__(self, registers: Dict[Node, List[int]], num_cells: int) -> None:
         require_type(registers, "registers", dict)
-        if num_cells <= 0 or num_cells & (num_cells - 1) != 0:
-            raise ValueError(f"num_cells must be a power of two, got {num_cells}")
+        _check_num_cells(num_cells)
+        cells: Dict[Node, Dict[int, int]] = {}
         for node, array in registers.items():
             if len(array) != num_cells:
                 raise ValueError(
                     f"register array of node {node!r} has length {len(array)}, "
                     f"expected {num_cells}"
                 )
-        self._registers = {node: list(array) for node, array in registers.items()}  # repro-lint: disable=R301 (one-time defensive copy at construction, not a query-path allocation)
+            cells[node] = {cell: value for cell, value in enumerate(array) if value}
+        self._adopt(cells, num_cells)
+
+    @classmethod
+    def from_cells(
+        cls, cells: Dict[Node, Dict[int, int]], num_cells: int
+    ) -> "ApproxInfluenceOracle":
+        """Build from sparse ``node → {cell: ρ}`` maps of filled cells only.
+
+        Every cell must lie in ``[0, num_cells)`` and every ρ in
+        ``[1, 64]``.  The maps are adopted, not copied: the caller hands
+        them over and must not mutate them afterwards.
+        """
+        require_type(cells, "cells", dict)
+        _check_num_cells(num_cells)
+        oracle = cls.__new__(cls)
+        oracle._adopt(cells, num_cells)
+        return oracle
+
+    def _adopt(self, cells: Dict[Node, Dict[int, int]], num_cells: int) -> None:
+        for node, filled in cells.items():  # repro-lint: budget=O(Σ filled cells)
+            for cell, value in filled.items():
+                if not 0 <= cell < num_cells:
+                    raise ValueError(
+                        f"node {node!r} fills cell {cell}, outside [0, {num_cells})"
+                    )
+                if not 0 < value <= INDICATOR_SHIFT:
+                    raise ValueError(
+                        f"node {node!r} holds register {value} in cell {cell}, "
+                        f"outside [1, {INDICATOR_SHIFT}]"
+                    )
+        self._cells = cells
         self._m = num_cells
         self._obs_spread = _QUERY_SECONDS.labels(kind="sketch", op="spread")
         self._obs_gain = _QUERY_SECONDS.labels(kind="sketch", op="gain")
@@ -217,8 +274,8 @@ class ApproxInfluenceOracle(InfluenceOracle):
     def from_index(cls, index: ApproxIRS) -> "ApproxInfluenceOracle":
         """Build from a fully-constructed :class:`ApproxIRS`."""
         require_type(index, "index", ApproxIRS)
-        registers = {node: index.registers(node) for node in index.nodes}
-        return cls(registers, index.num_cells)
+        cells = {node: index.register_map(node) for node in index.nodes}
+        return cls.from_cells(cells, index.num_cells)
 
     @property
     def num_cells(self) -> int:
@@ -226,24 +283,37 @@ class ApproxInfluenceOracle(InfluenceOracle):
         return self._m
 
     def nodes(self) -> Iterable[Node]:
-        return self._registers.keys()
+        return self._cells.keys()
 
     def registers(self, node: Node) -> List[int]:
-        """A copy of ``node``'s effective register array (empty if unknown).
+        """A dense copy of ``node``'s β effective registers (zeros if unknown).
 
-        This is the serialisation surface: a snapshot stores exactly these
-        arrays, so a reloaded oracle is bit-identical to the original.
+        This is the serialisation surface the snapshot round trip is
+        checked against: a reloaded oracle returns the same arrays.
         """
-        array = self._registers.get(node)
-        if array is None:
-            return [0] * self._m
-        return list(array)
+        array = [0] * self._m
+        for cell, value in self._cells.get(node, {}).items():
+            array[cell] = value
+        return array
+
+    def filled_cells(self, node: Node) -> List[Tuple[int, int]]:
+        """``node``'s filled cells as ``(cell, ρ)`` pairs in cell order.
+
+        The sparse serialisation surface: the ``approx`` snapshot kind
+        stores exactly these pairs (empty for an unknown node).
+        """
+        return sorted(self._cells.get(node, {}).items())
 
     def influence(self, node: Node) -> float:
-        array = self._registers.get(node)
-        if array is None:
+        cells = self._cells.get(node)
+        if not cells:
             return 0.0
-        return estimate_from_registers(array, self._m)
+        zeros = self._m - len(cells)
+        indicator = zeros << INDICATOR_SHIFT
+        terms = _TERMS
+        for value in cells.values():
+            indicator += terms[value]
+        return estimate_from_indicator(indicator, zeros, self._m)
 
     def spread(self, seeds: Iterable[Node]) -> float:
         if _OBS.enabled:
@@ -259,33 +329,73 @@ class ApproxInfluenceOracle(InfluenceOracle):
                 self.accumulate(combined, seed)
             return self.value(combined)
 
-    def new_accumulator(self) -> List[int]:
-        return [0] * self._m
+    def new_accumulator(self) -> _SketchUnion:
+        state = _SketchUnion([0] * self._m)
+        state.indicator = self._m << INDICATOR_SHIFT
+        state.zeros = self._m
+        return state
 
     def accumulate(self, state: object, node: Node) -> None:
-        assert isinstance(state, list)
-        array = self._registers.get(node)
-        if array is None:
+        assert isinstance(state, _SketchUnion)
+        cells = self._cells.get(node)
+        if not cells:
             return
-        for i, value in enumerate(array):
-            if value > state[i]:
-                state[i] = value
+        terms = _TERMS
+        indicator = state.indicator
+        zeros = state.zeros
+        for cell, value in cells.items():
+            current = state[cell]
+            if value > current:
+                state[cell] = value
+                indicator -= terms[current] - terms[value]
+                if not current:
+                    zeros -= 1
+        state.indicator = indicator
+        state.zeros = zeros
 
     def value(self, state: object) -> float:
-        assert isinstance(state, list)
-        return estimate_from_registers(state, self._m)
+        assert isinstance(state, _SketchUnion)
+        return estimate_from_indicator(state.indicator, state.zeros, self._m)
 
     def gain(self, state: object, node: Node) -> float:
-        assert isinstance(state, list)
+        """``value(state ∪ node) − value(state)`` without mutating ``state``.
+
+        The union's indicator and zero count change only in the cells
+        where ``node`` holds a larger register, so the delta is summed
+        over ``node``'s filled cells alone: CELF's inner loop costs
+        O(filled cells), not two β-wide estimates.
+        """
+        assert isinstance(state, _SketchUnion)
         with self._obs_gain.time():
-            array = self._registers.get(node)
-            if array is None:
+            cells = self._cells.get(node)
+            if not cells:
                 return 0.0
-            merged = [max(a, b) for a, b in zip(state, array)]
-            return estimate_from_registers(merged, self._m) - estimate_from_registers(
-                state, self._m
+            terms = _TERMS
+            before = state.indicator
+            indicator = before
+            zeros = state.zeros
+            for cell, value in cells.items():
+                current = state[cell]
+                if value > current:
+                    indicator -= terms[current] - terms[value]
+                    if not current:
+                        zeros -= 1
+            if indicator == before:
+                return 0.0
+            m = self._m
+            return estimate_from_indicator(indicator, zeros, m) - estimate_from_indicator(
+                before, state.zeros, m
             )
 
-    def copy_accumulator(self, state: object) -> List[int]:
-        assert isinstance(state, list)
-        return list(state)
+    def copy_accumulator(self, state: object) -> _SketchUnion:
+        assert isinstance(state, _SketchUnion)
+        clone = _SketchUnion(state)
+        clone.indicator = state.indicator
+        clone.zeros = state.zeros
+        return clone
+
+
+def _check_num_cells(num_cells: int) -> None:
+    require_int(num_cells, "num_cells")
+    if num_cells <= 0 or num_cells & (num_cells - 1) != 0:
+        raise ValueError(f"num_cells must be a power of two, got {num_cells}")

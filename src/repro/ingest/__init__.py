@@ -5,7 +5,7 @@ reverse scan, snapshot it, serve queries.  This package closes the loop
 for *live* interaction streams — apply ``(u, v, t)`` events as they
 happen, keep a continuously correct top-k influencer set, age stale
 interactions out of ``σω(u)`` with a sliding decay horizon, and publish
-fresh ``repro-snap/1`` snapshots that the serving tier hot-reloads.
+fresh ``repro-snap/2`` snapshots that the serving tier hot-reloads.
 
 * :mod:`repro.ingest.live` — :class:`LiveIndex`, the writer-priority
   locked index behind the ``/v1/ingest`` endpoint.

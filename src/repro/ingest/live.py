@@ -56,7 +56,7 @@ from repro.core.oracle import (
 from repro.core.streaming import StreamingExactIndex
 from repro.obs import OBS_STATE as _OBS
 from repro.serve.service import ReadWriteLock
-from repro.sketch.hll import estimate_from_registers
+from repro.sketch.hll import estimate_from_cells
 from repro.sketch.sliding_hll import SlidingWindowHLL
 from repro.utils.validation import (
     require_in_range,
@@ -445,17 +445,11 @@ class LiveIndex:
                         if horizon is None or start >= horizon:
                             sets.setdefault(influencer, set()).add(reached)
                 return ExactInfluenceOracle(sets)
-            zeros = [0] * self._num_cells
-            registers: Dict[Node, List[int]] = {}
-            for node in self._nodes:
+            cells: Dict[Node, Dict[int, int]] = {}
+            for node in self._nodes:  # repro-lint: budget=O(Σ filled cells)
                 sketch = self._sketches.get(node)
-                if sketch is None:
-                    registers[node] = list(zeros)
-                elif horizon is None:
-                    registers[node] = sketch.registers()
-                else:
-                    registers[node] = sketch.registers_since(horizon)
-            return ApproxInfluenceOracle(registers, self._num_cells)
+                cells[node] = {} if sketch is None else sketch.register_map(horizon)
+            return ApproxInfluenceOracle.from_cells(cells, self._num_cells)
 
     def spread(self, seeds: Iterable[Node]) -> float:
         """``Inf(seeds)`` of the live state (exact mode: exact union)."""
@@ -472,20 +466,15 @@ class LiveIndex:
                             covered.add(reached)
                             break
                 return float(len(covered))
-            combined = [0] * self._num_cells
-            for seed in seeds:  # repro-lint: budget=O(|seeds|·β)
+            combined: Dict[int, int] = {}
+            for seed in seeds:  # repro-lint: budget=O(Σ filled cells)
                 sketch = self._sketches.get(seed)
                 if sketch is None:
                     continue
-                cells = (
-                    sketch.registers()
-                    if horizon is None
-                    else sketch.registers_since(horizon)
-                )
-                for index, value in enumerate(cells):
-                    if value > combined[index]:
-                        combined[index] = value
-            return estimate_from_registers(combined, self._num_cells)
+                for cell, value in sketch.register_map(horizon).items():
+                    if value > combined.get(cell, 0):
+                        combined[cell] = value
+            return estimate_from_cells(combined.values(), self._num_cells)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         with self._lock.read():

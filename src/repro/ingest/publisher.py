@@ -3,7 +3,7 @@
 The serving tier never queries the :class:`~repro.ingest.live.LiveIndex`
 directly for influence: oracles are immutable and lock-free once built,
 so the publisher periodically freezes the live state into a
-``repro-snap/1`` file and swaps it into the
+``repro-snap/2`` file and swaps it into the
 :class:`~repro.serve.service.OracleService` — the same
 build-outside-the-lock / pointer-swap discipline ``reload`` uses, now on
 a timer.
@@ -61,7 +61,7 @@ class SnapshotPublisher:
     service:
         The query service to hot-swap (None = snapshot-only publishing).
     path:
-        Destination ``repro-snap/1`` file (written atomically).
+        Destination ``repro-snap/2`` file (written atomically).
     interval:
         Seconds between background publish attempts.
     min_events:

@@ -40,6 +40,12 @@ A report is dumped at interpreter exit: JSON to the path named by
     REPRO_DEBUG_ALLOC=1 REPRO_DEBUG_ALLOC_REPORT=alloc.json \\
         python -m pytest tests/sketch tests/core
 
+The path belongs to the process that first enabled the sanitizer with it:
+that process records itself in ``REPRO_DEBUG_ALLOC_REPORT_OWNER``.
+Subprocesses inherit all three variables and trace as usual, but leave the
+file to its owner at exit, so the report always describes the process the
+command started, not whichever child happened to exit last.
+
 ``python -m repro.lint.alloctrace --check report.json budget.json``
 compares such a report against a committed per-function allocation
 budget (see ``benchmarks/results/alloc-budget.json``) and exits
@@ -64,6 +70,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 __all__ = [
     "ALLOC_ENV",
     "REPORT_ENV",
+    "OWNER_ENV",
     "FILTER_ENV",
     "hotpath",
     "coldpath",
@@ -83,6 +90,7 @@ __all__ = [
 
 ALLOC_ENV = "REPRO_DEBUG_ALLOC"
 REPORT_ENV = "REPRO_DEBUG_ALLOC_REPORT"
+OWNER_ENV = "REPRO_DEBUG_ALLOC_REPORT_OWNER"
 FILTER_ENV = "REPRO_DEBUG_ALLOC_FILTER"
 
 #: Path substrings a snapshot frame must contain for its site to be kept.
@@ -197,6 +205,7 @@ def enable() -> None:
         tracemalloc.start()
         _started_tracemalloc = True
     _enabled = True
+    _claim_report()
     if not _atexit_registered:
         atexit.register(_exit_report)
         _atexit_registered = True
@@ -330,10 +339,29 @@ def dump_report(path: Optional[str] = None) -> Dict[str, Any]:
     return snapshot
 
 
+def _claim_report() -> None:
+    """Record this process as the writer of the env-named report path.
+
+    A path already claimed (by an ancestor, through the inherited
+    environment) stays with its claimant.
+    """
+    path = os.environ.get(REPORT_ENV, "")
+    if path and os.environ.get(OWNER_ENV, "").partition(":")[2] != path:
+        os.environ[OWNER_ENV] = f"{os.getpid()}:{path}"
+
+
+def _owns_report() -> bool:
+    """False iff another process claimed the env-named report path."""
+    pid, _, path = os.environ.get(OWNER_ENV, "").partition(":")
+    return path != os.environ.get(REPORT_ENV, "") or pid == str(os.getpid())
+
+
 def _exit_report() -> None:
-    """Atexit hook: persist the report to the env-named path, if any."""
+    """Atexit hook: persist the report to the env-named path, if this
+    process owns it."""
     try:
-        dump_report()
+        if _owns_report():
+            dump_report()
     except Exception:  # pragma: no cover - never break interpreter exit
         pass
 

@@ -51,7 +51,7 @@ The rules
   hot region (small-tuple ``for``-unpacking over a stored sequence,
   small tuples packed into containers) where parallel arrays — the
   packed register layout ``serve/snapshot.py`` already serialises
-  (``repro-snap/1``) — would avoid per-pair objects.
+  (``repro-snap/2``) — would avoid per-pair objects.
 * **R305** ``hot-linear-membership`` — ``x in some_list`` inside a hot
   loop, or ``x in d.keys()`` anywhere hot.
 
@@ -112,8 +112,8 @@ _SCOPE_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: Where R304 points: the packed register layout the snapshot format
 #: already uses.
 _PACKED_LAYOUT_HINT = (
-    "parallel arrays — the packed (t, rho) register layout serve/snapshot.py "
-    "serialises as repro-snap/1 — avoid per-pair tuple objects"
+    "parallel arrays — the packed (cell, rho) register layout serve/snapshot.py "
+    "serialises as repro-snap/2 — avoid per-pair tuple objects"
 )
 
 

@@ -6,7 +6,7 @@ answered cheaply for as long as the window ω stays relevant.  The rest of
 the repo builds those summaries; this package deploys them:
 
 * :mod:`repro.serve.snapshot` — a versioned binary snapshot format
-  (``repro-snap/1``) that persists :class:`~repro.core.oracle.ExactInfluenceOracle`
+  (``repro-snap/2``) that persists :class:`~repro.core.oracle.ExactInfluenceOracle`
   reachability sets, :class:`~repro.core.oracle.ApproxInfluenceOracle`
   register arrays, and whole :class:`~repro.sketch.vhll.VersionedHLL`
   sketch maps, with per-section CRCs and lazy section reads;

@@ -253,7 +253,7 @@ class OracleService:
 
     @classmethod
     def from_snapshot(cls, path: str, cache_size: int = 1024) -> "OracleService":
-        """Build a service from a ``repro-snap/1`` oracle snapshot."""
+        """Build a service from a ``repro-snap/2`` oracle snapshot."""
         from repro.serve.snapshot import load_oracle
 
         return cls(load_oracle(path), cache_size=cache_size, source=path)

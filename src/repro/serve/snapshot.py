@@ -1,4 +1,4 @@
-"""The ``repro-snap/1`` snapshot store: persist oracles, reload them fast.
+"""The ``repro-snap/2`` snapshot store: persist oracles, reload them fast.
 
 Snapshot-then-query is the standard deployment shape for sketch-backed
 influence oracles (ContinEst persists its sampled sketch sets the same
@@ -11,19 +11,21 @@ for the three payload kinds the repo produces:
     :class:`~repro.core.oracle.ExactInfluenceOracle` — the interned label
     table plus each node's reachability set as sorted label indices.
 ``approx``
-    :class:`~repro.core.oracle.ApproxInfluenceOracle` — each node's β
-    effective HLL registers, packed one byte per register.
+    :class:`~repro.core.oracle.ApproxInfluenceOracle` — each node's filled
+    HLL cells only: a u16 count, then that many ``(u16 cell, u8 ρ)``
+    pairs in increasing cell order, all big endian.  Empty cells cost
+    nothing, so a node that fills 8 of its 512 cells takes 26 bytes.
 ``vhll``
-    A ``node → VersionedHLL`` sketch map (the full versioned cell lists
-    via :meth:`~repro.sketch.vhll.VersionedHLL.to_dict` /
-    :meth:`~repro.sketch.vhll.VersionedHLL.from_dict`), for workloads that
-    still need per-deadline queries after reload.
+    A ``node → VersionedHLL`` sketch map (the filled cells' versioned pair
+    lists via :meth:`~repro.sketch.vhll.VersionedHLL.filled_cells` /
+    :meth:`~repro.sketch.vhll.VersionedHLL.from_filled_cells`), for
+    workloads that still need per-deadline queries after reload.
 
 File layout
 -----------
 ::
 
-    magic line:  b"repro-snap/1\\n"
+    magic line:  b"repro-snap/2\\n"
     section*:    u16 name length (big endian)
                  name (ascii)
                  u64 payload length (big endian)
@@ -76,13 +78,19 @@ __all__ = [
 Node = Hashable
 
 #: Version-bearing magic line; bump the suffix on breaking layout changes.
-SNAPSHOT_MAGIC = b"repro-snap/1\n"
+SNAPSHOT_MAGIC = b"repro-snap/2\n"
 _MAGIC_PREFIX = b"repro-snap/"
 
 #: Section frame: name length (u16), then name, then payload length (u64)
 #: and payload CRC32 (u32), all big endian.
 _NAME_LEN = struct.Struct(">H")
 _PAYLOAD_HEAD = struct.Struct(">QI")
+
+#: One filled cell of an ``approx`` payload: u16 cell index, u8 ρ.  Each
+#: node's pairs follow a u16 count of them.
+_CELL = struct.Struct(">HB")
+_COUNT = struct.Struct(">H")
+_MAX_CELLS = 1 << 16
 
 #: Nodes per data section.  Chunking keeps single reads bounded and lets
 #: a reader materialise a snapshot incrementally.
@@ -207,13 +215,18 @@ def _approx_sections(
 ) -> Tuple[Dict[str, object], List[str], Iterator[Tuple[str, bytes]]]:
     keys = list(oracle.nodes())
     num_cells = oracle.num_cells
+    if num_cells > _MAX_CELLS:
+        raise ValueError(
+            f"num_cells={num_cells} does not fit the u16 cell index of the "
+            f"approx layout (at most {_MAX_CELLS})"
+        )
     meta: Dict[str, object] = {
         "node_count": len(keys),
         "num_cells": num_cells,
         "chunk": chunk,
     }
     names = _chunk_names("labels", len(keys), chunk) + _chunk_names(
-        "registers", len(keys), chunk
+        "cells", len(keys), chunk
     )
 
     def emit() -> Iterator[Tuple[str, bytes]]:
@@ -222,18 +235,20 @@ def _approx_sections(
                 f"labels/{start // chunk}",
                 _dumps([_check_label(key) for key in keys[start : start + chunk]]),
             )
-        for start in range(0, len(keys), chunk):  # repro-lint: budget=O(n·β)
+        pack_count, pack_cell = _COUNT.pack, _CELL.pack
+        for start in range(0, len(keys), chunk):  # repro-lint: budget=O(Σ filled cells)
             block = bytearray()
             for key in keys[start : start + chunk]:
-                registers = oracle.registers(key)
-                for value in registers:
-                    if not 0 <= value < 256:
-                        raise ValueError(
-                            f"register value {value} of node {key!r} does not fit "
-                            "one byte"
-                        )
-                block.extend(registers)
-            yield (f"registers/{start // chunk}", bytes(block))
+                filled = oracle.filled_cells(key)
+                if len(filled) >= 1 << 16:
+                    raise ValueError(
+                        f"node {key!r} fills {len(filled)} cells; the approx "
+                        "layout counts at most 65535 per node"
+                    )
+                block += pack_count(len(filled))
+                for cell, value in filled:  # ρ ≤ 64: the oracle enforces it
+                    block += pack_cell(cell, value)
+            yield (f"cells/{start // chunk}", bytes(block))
 
     return meta, names, emit()
 
@@ -241,7 +256,7 @@ def _approx_sections(
 def save_oracle(
     path: str, oracle: InfluenceOracle, chunk: int = DEFAULT_CHUNK
 ) -> Dict[str, object]:
-    """Write ``oracle`` to ``path`` as a ``repro-snap/1`` snapshot.
+    """Write ``oracle`` to ``path`` as a ``repro-snap/2`` snapshot.
 
     Returns a small info dict (``kind``, ``nodes``, ``bytes``).  The write
     is atomic: the data goes to ``<path>.tmp`` first and is renamed into
@@ -312,7 +327,7 @@ def save_sketches(
                 _dumps([_check_label(key) for key in keys[start : start + chunk]]),
             )
         for start in range(0, len(keys), chunk):
-            cells = [sketches[key].to_dict()["cells"] for key in keys[start : start + chunk]]
+            cells = [sketches[key].filled_cells() for key in keys[start : start + chunk]]
             yield (f"sketches/{start // chunk}", _dumps(cells))
 
     with obs.span("serve.snapshot_save", kind="vhll"):
@@ -326,7 +341,7 @@ def save_sketches(
 
 
 class SnapshotReader:
-    """Lazy section access over one ``repro-snap/1`` file.
+    """Lazy section access over one ``repro-snap/2`` file.
 
     Opening the reader validates the magic line, scans the section frames
     (seeking past payload bytes) and parses the ``header`` section; data
@@ -526,30 +541,59 @@ def _load_exact(reader: SnapshotReader) -> ExactInfluenceOracle:
 def _load_approx(reader: SnapshotReader) -> ApproxInfluenceOracle:
     node_count = _meta_int(reader, "node_count")
     num_cells = _meta_int(reader, "num_cells")
+    chunk = _meta_int(reader, "chunk")
     if num_cells <= 0:
         raise ValueError(f"{reader.path}: snapshot meta field 'num_cells' must be > 0")
+    if chunk <= 0:
+        raise ValueError(f"{reader.path}: snapshot meta field 'chunk' must be > 0")
     labels = _load_labels(reader, node_count)
-    registers: Dict[Node, List[int]] = {}
+    cells: Dict[Node, Dict[int, int]] = {}
     cursor = 0
-    for name in reader.section_names:  # repro-lint: budget=O(n·β)
-        if not name.startswith("registers/"):
+    iter_cells = _CELL.iter_unpack
+    unpack_count = _COUNT.unpack_from
+    for name in reader.section_names:  # repro-lint: budget=O(Σ filled cells)
+        if not name.startswith("cells/"):
             continue
         block = reader.read_section(name)
-        if len(block) % num_cells:
-            raise ValueError(
-                f"{reader.path}: section {name!r} holds {len(block)} bytes, "
-                f"not a multiple of num_cells={num_cells}"
-            )
-        for start in range(0, len(block), num_cells):
-            if cursor >= node_count:
-                raise ValueError(f"{reader.path}: more register arrays than nodes")
-            registers[labels[cursor]] = list(block[start : start + num_cells])
+        size = len(block)
+        wanted = min(chunk, node_count - cursor)
+        pos = 0
+        for _ in range(wanted):
+            if pos + _COUNT.size > size:
+                raise ValueError(
+                    f"{reader.path}: section {name!r} ends inside the cell count "
+                    f"of node {cursor}"
+                )
+            (count,) = unpack_count(block, pos)
+            pos += _COUNT.size
+            end = pos + count * _CELL.size
+            if end > size:
+                raise ValueError(
+                    f"{reader.path}: node {cursor} claims {count} cells, which "
+                    f"overrun section {name!r} ({size} bytes)"
+                )
+            filled = dict(iter_cells(block[pos:end]))
+            if len(filled) != count:
+                raise ValueError(
+                    f"{reader.path}: node {cursor} in section {name!r} lists a "
+                    "cell more than once"
+                )
+            cells[labels[cursor]] = filled
             cursor += 1
+            pos = end
+        if pos != size:
+            raise ValueError(
+                f"{reader.path}: section {name!r} has {size - pos} leftover bytes "
+                "after its last node"
+            )
     if cursor != node_count:
         raise ValueError(
-            f"{reader.path}: expected {node_count} register arrays, found {cursor}"
+            f"{reader.path}: expected {node_count} cell maps, found {cursor}"
         )
-    return ApproxInfluenceOracle(registers, num_cells)
+    try:
+        return ApproxInfluenceOracle.from_cells(cells, num_cells)
+    except ValueError as exc:
+        raise ValueError(f"{reader.path}: {exc}") from exc
 
 
 def load_oracle(path: str) -> Union[ExactInfluenceOracle, ApproxInfluenceOracle]:
@@ -596,8 +640,8 @@ def load_sketches(path: str) -> Dict[Node, VersionedHLL]:
                 if cursor >= node_count:
                     raise ValueError(f"{path}: more sketches than nodes")
                 try:
-                    sketches[labels[cursor]] = VersionedHLL.from_dict(
-                        {"precision": precision, "salt": salt, "cells": cells}
+                    sketches[labels[cursor]] = VersionedHLL.from_filled_cells(
+                        precision, salt, cells
                     )
                 except (ValueError, TypeError) as exc:
                     raise ValueError(

@@ -27,7 +27,15 @@ from typing import Hashable, Iterable, Iterator, Optional
 from repro.sketch.hashing import split_hash
 from repro.utils.validation import require_in_range, require_int, require_type
 
-__all__ = ["HyperLogLog", "alpha", "estimate_from_registers"]
+__all__ = [
+    "HyperLogLog",
+    "INDICATOR_SHIFT",
+    "alpha",
+    "estimate_from_cells",
+    "estimate_from_indicator",
+    "estimate_from_registers",
+    "scaled_indicator",
+]
 
 
 def alpha(m: int) -> float:
@@ -45,20 +53,26 @@ def alpha(m: int) -> float:
     return 0.673
 
 
-def estimate_from_registers(registers: Iterable[int], m: int) -> float:
-    """Cardinality estimate from raw register values.
+#: The HLL indicator ``Σ_j 2^-M_j`` is carried as an integer scaled by
+#: ``2**INDICATOR_SHIFT``: every term with ``0 ≤ M_j ≤ 64`` (all a 64-bit
+#: hash can produce) is then an exact integer, so the sum is exact and
+#: independent of the order its terms are added in.
+INDICATOR_SHIFT = 64
 
-    Shared by :class:`HyperLogLog` and the versioned sketch in
-    :mod:`repro.sketch.vhll`, which materialises an effective register array
-    for a time window and estimates through this same formula.
+
+def estimate_from_indicator(
+    indicator: int, zeros: int, m: int, shift: int = INDICATOR_SHIFT
+) -> float:
+    """The one HLL estimator every sketch and oracle in the repo goes through.
+
+    ``indicator / 2**shift`` is the exact indicator ``Σ_j 2^-M_j`` over all
+    ``m`` registers and ``zeros`` counts the registers equal to 0.  The
+    indicator becomes a float once, by a correctly rounded division, so two
+    callers that sum the same registers in any order and at any shift get
+    the same float — a sparse union over filled cells and a dense β-wide
+    scan answer bit for bit alike.
     """
-    indicator = 0.0
-    zeros = 0
-    for value in registers:
-        indicator += 2.0 ** (-value)
-        if value == 0:
-            zeros += 1
-    raw = alpha(m) * m * m / indicator
+    raw = alpha(m) * m * m / (indicator / (1 << shift))
     if raw <= 2.5 * m and zeros > 0:
         # Small-range correction: linear counting on empty registers.
         return m * math.log(m / zeros)
@@ -71,6 +85,48 @@ def estimate_from_registers(registers: Iterable[int], m: int) -> float:
         # be undefined there).
         return -two_to_32 * math.log(1.0 - raw / two_to_32)
     return raw
+
+
+def scaled_indicator(values: Iterable[int]) -> tuple[int, int, int, int]:
+    """The exact indicator of ``values`` as ``(total, shift, zeros, count)``.
+
+    ``total / 2**shift == Σ 2^-v`` exactly, with ``shift`` the larger of
+    :data:`INDICATOR_SHIFT` and the largest value; ``zeros`` counts the
+    zero values and ``count`` all of them.
+    """
+    histogram: dict[int, int] = {}
+    for value in values:
+        histogram[value] = histogram.get(value, 0) + 1
+    shift = max(INDICATOR_SHIFT, max(histogram, default=0))
+    total = 0
+    count = 0
+    for value, times in histogram.items():
+        total += times << (shift - value)
+        count += times
+    return total, shift, histogram.get(0, 0), count
+
+
+def estimate_from_registers(registers: Iterable[int], m: int) -> float:
+    """Cardinality estimate from a dense array of all ``m`` register values.
+
+    Shared by :class:`HyperLogLog` and the versioned sketch in
+    :mod:`repro.sketch.vhll`, which materialises an effective register array
+    for a time window and estimates through this same formula.
+    """
+    total, shift, zeros, _ = scaled_indicator(registers)
+    return estimate_from_indicator(total, zeros, m, shift)
+
+
+def estimate_from_cells(values: Iterable[int], m: int) -> float:
+    """Cardinality estimate from the filled registers of an ``m``-cell sketch.
+
+    ``values`` are the registers of the filled cells only, in any order;
+    the cells not listed are zero.  Equals :func:`estimate_from_registers`
+    on the dense array bit for bit, at O(filled cells) instead of O(m).
+    """
+    total, shift, zeros, count = scaled_indicator(values)
+    missing = m - count
+    return estimate_from_indicator(total + (missing << shift), zeros + missing, m, shift)
 
 
 class HyperLogLog:

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from typing import Hashable, Optional
 
 from repro.sketch.hashing import split_hash
-from repro.sketch.hll import estimate_from_registers
+from repro.sketch.hll import estimate_from_cells
 from repro.utils.validation import require_in_range, require_int, require_type
 
 __all__ = ["SlidingWindowHLL"]
@@ -174,22 +174,32 @@ class SlidingWindowHLL:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def registers_since(self, start: int) -> list[int]:
-        """Per-cell max ρ over arrivals with ``t >= start``.
+    def register_map(self, start: Optional[int] = None) -> dict[int, int]:
+        """Nonzero registers over arrivals with ``t >= start`` as ``cell → ρ``.
 
         Within a cell the frontier's ρ decreases with time, so the first
-        pair inside the window carries the maximum.
+        pair inside the window carries the maximum.  Only filled cells
+        appear; ``start=None`` covers the whole stream.
         """
-        registers = [0] * self._m
+        if start is None:
+            return {cell: pairs[0][1] for cell, pairs in self._cells.items()}
+        registers: dict[int, int] = {}
         for cell, pairs in self._cells.items():
             index = bisect_left(pairs, start, key=lambda pair: pair[0])
             if index < len(pairs):
                 registers[cell] = pairs[index][1]
         return registers
 
+    def registers_since(self, start: int) -> list[int]:
+        """Per-cell max ρ over arrivals with ``t >= start`` (dense β list)."""
+        registers = [0] * self._m
+        for cell, value in self.register_map(start).items():
+            registers[cell] = value
+        return registers
+
     def cardinality_since(self, start: int) -> float:
         """Estimated distinct items among arrivals with ``t >= start``."""
-        return estimate_from_registers(self.registers_since(start), self._m)
+        return estimate_from_cells(self.register_map(start).values(), self._m)
 
     def registers(self) -> list[int]:
         """Per-cell max ρ over the whole stream (the plain HLL registers)."""
@@ -200,7 +210,7 @@ class SlidingWindowHLL:
 
     def cardinality(self) -> float:
         """Estimated distinct items over the whole stream seen so far."""
-        return estimate_from_registers(self.registers(), self._m)
+        return estimate_from_cells(self.register_map().values(), self._m)
 
     def __len__(self) -> int:
         """Whole-stream estimate, rounded."""

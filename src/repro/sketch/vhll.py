@@ -20,20 +20,20 @@ dominance-pruned list of ``(ρ, t)`` pairs:
 Given any end-time deadline, the effective register of a cell is the ρ of
 the *latest* pair not exceeding the deadline, and cardinality estimation
 reduces to the standard HLL formula over those effective registers
-(:func:`repro.sketch.hll.estimate_from_registers`).
+(:func:`repro.sketch.hll.estimate_from_cells`, over the filled cells only).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 import repro.obs as obs
 from repro.lint.alloctrace import hotpath
 from repro.lint.contracts import invariant, post_vhll_mutation
 from repro.obs import OBS_STATE as _OBS
 from repro.sketch.hashing import split_hash
-from repro.sketch.hll import estimate_from_registers
+from repro.sketch.hll import estimate_from_cells
 from repro.utils.validation import (
     require_in_range,
     require_int,
@@ -314,14 +314,40 @@ class VersionedHLL:
             if r > registers[cell]:
                 registers[cell] = r
 
+    def register_map(
+        self,
+        min_time: Optional[int] = None,
+        max_time: Optional[int] = None,
+    ) -> dict[int, int]:
+        """The nonzero effective registers as ``cell → ρ``, filled cells only.
+
+        The sparse form of :meth:`effective_registers`: a cell appears iff
+        some pair lies inside the time bounds, so the map costs
+        O(filled cells) to build and to hold, not O(β).
+        """
+        if min_time is None and max_time is None:
+            return {cell: pairs[-1][1] for cell, pairs in self._cells.items()}
+        registers: dict[int, int] = {}
+        for cell, pairs in self._cells.items():
+            hi = len(pairs)
+            if max_time is not None:
+                hi = bisect_right(pairs, max_time, key=_TIME_KEY)
+            if hi == 0:
+                continue
+            t, r = pairs[hi - 1]
+            if min_time is not None and t < min_time:
+                continue
+            registers[cell] = r
+        return registers
+
     def cardinality(self) -> float:
         """Estimate of the number of distinct items ever added."""
-        return estimate_from_registers(self.effective_registers(), self._m)
+        return estimate_from_cells(self.register_map().values(), self._m)
 
     def cardinality_within(self, min_time: Optional[int] = None, max_time: Optional[int] = None) -> float:
         """Cardinality estimate restricted to pairs inside the time bounds."""
-        return estimate_from_registers(
-            self.effective_registers(min_time, max_time), self._m
+        return estimate_from_cells(
+            self.register_map(min_time, max_time).values(), self._m
         )
 
     def __len__(self) -> int:
@@ -338,7 +364,7 @@ class VersionedHLL:
     # Serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """A JSON-serialisable representation."""
+        """A JSON-serialisable representation with all β cells, empty or not."""
         return {
             "precision": self._precision,
             "salt": self._salt,
@@ -348,11 +374,44 @@ class VersionedHLL:
     @classmethod
     def from_dict(cls, payload: dict) -> "VersionedHLL":
         """Inverse of :meth:`to_dict`, with invariant checking."""
-        sketch = cls(payload["precision"], payload["salt"])
-        cells = payload["cells"]
-        if len(cells) != sketch._m:
-            raise ValueError(f"cell array has length {len(cells)}, expected {sketch._m}")
-        for index, raw_pairs in enumerate(cells):  # repro-lint: budget=O(m·F)
+        precision, salt, cells = payload["precision"], payload["salt"], payload["cells"]
+        expected = cls(precision, salt).num_cells
+        if len(cells) != expected:
+            raise ValueError(f"cell array has length {len(cells)}, expected {expected}")
+        return cls.from_filled_cells(
+            precision, salt, [(index, pairs) for index, pairs in enumerate(cells) if pairs]
+        )
+
+    def filled_cells(self) -> list[list]:
+        """The filled cells only, as ``[cell, [[t, ρ], …]]`` in cell order.
+
+        The compact JSON form the ``vhll`` snapshot kind stores: a per-node
+        sketch of an IRS build fills a handful of its β cells, so this
+        costs O(filled cells) where :meth:`to_dict` writes all β.
+        """
+        return [
+            [index, list(map(list, self._cells[index]))] for index in sorted(self._cells)
+        ]
+
+    @classmethod
+    def from_filled_cells(
+        cls, precision: int, salt: int, filled: Iterable[Sequence]
+    ) -> "VersionedHLL":
+        """Inverse of :meth:`filled_cells`, with invariant checking.
+
+        Rejects a cell index outside ``[0, β)``, a cell listed twice and
+        a pair list that is not a strict Pareto frontier.
+        """
+        sketch = cls(precision, salt)
+        for entry in filled:  # repro-lint: budget=O(filled cells·F)
+            index, raw_pairs = entry
+            require_int(index, "cell index")
+            if not 0 <= index < sketch._m:
+                raise ValueError(f"cell index {index} outside [0, {sketch._m})")
+            if index in sketch._cells:
+                raise ValueError(f"cell {index} is listed twice")
+            if not raw_pairs:
+                raise ValueError(f"cell {index} is listed without pairs")
             previous_t: Optional[int] = None
             previous_r: Optional[int] = None
             for t, r in raw_pairs:

@@ -141,3 +141,32 @@ class TestSpreadTrajectory:
         oracle = ExactInfluenceOracle.from_index(ExactIRS.from_log(paper_log, 3))
         trajectory = spread_trajectory(oracle, sorted(paper_log.nodes))
         assert all(b >= a for a, b in zip(trajectory, trajectory[1:]))
+
+
+class _CountingOracle(ExactInfluenceOracle):
+    """Counts influence() calls per node."""
+
+    def __init__(self, sets):
+        super().__init__(sets)
+        self.influence_calls = {}
+
+    def influence(self, node):
+        self.influence_calls[node] = self.influence_calls.get(node, 0) + 1
+        return super().influence(node)
+
+
+@pytest.mark.parametrize("selector", [celf_top_k, greedy_top_k, top_k_by_influence])
+def test_each_candidate_influence_is_computed_once(selector):
+    sets = {f"n{i}": set(range(i, 3 * i)) for i in range(12)}
+    oracle = _CountingOracle(sets)
+    picks = selector(oracle, 4)
+    assert oracle.influence_calls == {node: 1 for node in sets}
+    assert picks == selector(ExactInfluenceOracle(sets), 4)
+
+
+def test_ties_still_break_by_repr():
+    """Equal influences rank in repr order, whichever way they are listed."""
+    sets = {"b": {1}, "a": {2}, "c": {3}, "d": {4, 5}}
+    assert top_k_by_influence(ExactInfluenceOracle(sets), 4) == ["d", "a", "b", "c"]
+    assert celf_top_k(ExactInfluenceOracle(sets), 4) == ["d", "a", "b", "c"]
+    assert greedy_top_k(ExactInfluenceOracle(sets), 4) == ["d", "a", "b", "c"]

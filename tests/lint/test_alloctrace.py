@@ -4,6 +4,9 @@ static↔dynamic correspondence for the R301–R305 findings."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -12,6 +15,7 @@ from repro.lint import alloctrace
 from repro.lint.alloctrace import (
     ALLOC_ENV,
     FILTER_ENV,
+    OWNER_ENV,
     REPORT_ENV,
     allocs_enabled,
     check_budget,
@@ -287,3 +291,62 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert alloctrace.main(["--check", str(report_path), str(budget_path)]) == 1
     assert "breached" in capsys.readouterr().err
     assert alloctrace.main(["--bogus"]) == 2
+
+
+# ----------------------------------------------------------------------
+# report ownership across subprocesses
+# ----------------------------------------------------------------------
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+#: Records a probe, then runs ``CHILD`` (with the inherited environment,
+#: optionally overridden) and prints whether the report existed when the
+#: child had exited — i.e. before this process's own exit hook ran.
+_PARENT = """
+import json, os, subprocess, sys
+import repro.obs
+from repro.lint import alloctrace
+alloctrace.note_call("parent-probe", 1)
+env = dict(os.environ, **json.loads(sys.argv[1]))
+subprocess.run([sys.executable, "-c", sys.argv[2]], env=env, check=True)
+print(os.path.exists(os.environ["REPRO_DEBUG_ALLOC_REPORT"]))
+"""
+_CHILD = """
+import repro.obs
+from repro.lint import alloctrace
+assert alloctrace.is_enabled()
+alloctrace.note_call("child-probe", 1)
+"""
+
+
+def _spawn_parent(report_path, child_env):
+    env = dict(os.environ, PYTHONPATH="src", **{ALLOC_ENV: "1", REPORT_ENV: str(report_path)})
+    env.pop(OWNER_ENV, None)
+    result = subprocess.run(
+        [sys.executable, "-c", _PARENT, json.dumps(child_env), _CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        cwd=_REPO_ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_a_child_inheriting_the_report_path_leaves_it_to_the_parent(tmp_path):
+    report_path = tmp_path / "alloc.json"
+    existed_after_child = _spawn_parent(report_path, {})
+    assert existed_after_child == "False"
+    functions = json.loads(report_path.read_text())["functions"]
+    assert "parent-probe" in functions
+    assert "child-probe" not in functions
+
+
+def test_a_child_given_its_own_report_path_writes_it(tmp_path):
+    parent_path = tmp_path / "parent.json"
+    child_path = tmp_path / "child.json"
+    _spawn_parent(parent_path, {REPORT_ENV: str(child_path)})
+    assert "child-probe" in json.loads(child_path.read_text())["functions"]
+    parent_functions = json.loads(parent_path.read_text())["functions"]
+    assert "parent-probe" in parent_functions
+    assert "child-probe" not in parent_functions

@@ -1,4 +1,4 @@
-"""repro-snap/1 snapshot store: round trips, laziness, corruption handling."""
+"""repro-snap/2 snapshot store: round trips, laziness, corruption handling."""
 
 from __future__ import annotations
 
@@ -321,3 +321,165 @@ class TestPropertyRoundTrips:
         assert set(loaded.nodes()) == set(oracle.nodes())
         for node in oracle.nodes():
             assert loaded.registers(node) == oracle.registers(node)
+
+
+def _write_snapshot(path, kind, meta, sections, magic=SNAPSHOT_MAGIC):
+    """Frame ``sections`` (name, payload) behind a header, CRCs intact."""
+    header = json.dumps(
+        {"kind": kind, "meta": meta, "sections": [name for name, _ in sections]}
+    ).encode()
+    with open(path, "wb") as handle:
+        handle.write(magic)
+        for name, payload in [("header", header)] + sections:
+            encoded = name.encode("ascii")
+            handle.write(struct.pack(">H", len(encoded)) + encoded)
+            handle.write(struct.pack(">QI", len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+
+
+def _node_cells(pairs, count=None):
+    """One node of an approx ``cells`` section: u16 count, (u16, u8) pairs."""
+    body = b"".join(struct.pack(">HB", cell, value) for cell, value in pairs)
+    return struct.pack(">H", len(pairs) if count is None else count) + body
+
+
+def _approx_snapshot(path, cells_payload, labels=("a",), num_cells=8, chunk=4096):
+    meta = {"node_count": len(labels), "num_cells": num_cells, "chunk": chunk}
+    _write_snapshot(
+        path,
+        "approx",
+        meta,
+        [("labels/0", json.dumps(list(labels)).encode()), ("cells/0", cells_payload)],
+    )
+
+
+def _one_line_error(path):
+    with pytest.raises(ValueError) as excinfo:
+        load_oracle(path)
+    message = str(excinfo.value)
+    assert message.startswith(path + ": ")
+    assert "\n" not in message
+    return message
+
+
+class TestSparseApproxLayout:
+    """The ``approx`` payload stores filled cells only: a u16 count per
+    node, then (u16 cell, u8 ρ) pairs in increasing cell order."""
+
+    def test_saved_bytes_follow_the_layout(self, tmp_path):
+        oracle = ApproxInfluenceOracle({"a": [0, 3, 0, 0, 0, 0, 0, 1], "b": [0] * 8}, 8)
+        path = str(tmp_path / "layout.snap")
+        save_oracle(path, oracle)
+        with SnapshotReader(path) as reader:
+            assert reader.section_names == ["labels/0", "cells/0"]
+            payload = reader.read_section("cells/0")
+        assert payload == _node_cells([(1, 3), (7, 1)]) + _node_cells([])
+
+    def test_hand_built_payload_loads(self, tmp_path):
+        path = str(tmp_path / "hand.snap")
+        _approx_snapshot(
+            path, _node_cells([(0, 2), (5, 9)]) + _node_cells([]), labels=("a", "b")
+        )
+        loaded = load_oracle(path)
+        assert loaded.registers("a") == [2, 0, 0, 0, 0, 9, 0, 0]
+        assert loaded.registers("b") == [0] * 8
+
+    def test_chunked_sections_round_trip(self, tmp_path):
+        arrays = {f"n{i}": [(i * j) % 5 for j in range(16)] for i in range(7)}
+        oracle = ApproxInfluenceOracle(arrays, 16)
+        path = str(tmp_path / "chunks.snap")
+        save_oracle(path, oracle, chunk=3)
+        assert snapshot_info(path)["sections"][-3:] == ["cells/0", "cells/1", "cells/2"]
+        loaded = load_oracle(path)
+        for node, registers in arrays.items():
+            assert loaded.registers(node) == registers
+
+    def test_snapshot_is_smaller_than_one_byte_per_register(self, tmp_path):
+        log = email_network(25, 250, 500, rng=5)
+        oracle = ApproxInfluenceOracle.from_index(ApproxIRS.from_log(log, 50, precision=9))
+        path = str(tmp_path / "small.snap")
+        info = save_oracle(path, oracle)
+        nodes = len(list(oracle.nodes()))
+        assert info["bytes"] < nodes * oracle.num_cells // 4
+
+    def test_cell_beyond_beta(self, tmp_path):
+        path = str(tmp_path / "cell.snap")
+        _approx_snapshot(path, _node_cells([(8, 3)]))
+        assert "cell 8, outside [0, 8)" in _one_line_error(path)
+
+    def test_zero_rho(self, tmp_path):
+        path = str(tmp_path / "zero.snap")
+        _approx_snapshot(path, _node_cells([(2, 0)]))
+        assert "register 0 in cell 2, outside [1, 64]" in _one_line_error(path)
+
+    def test_duplicated_cell(self, tmp_path):
+        path = str(tmp_path / "dup.snap")
+        _approx_snapshot(path, _node_cells([(2, 3), (2, 4)]))
+        assert "more than once" in _one_line_error(path)
+
+    def test_count_overruns_its_section(self, tmp_path):
+        path = str(tmp_path / "overrun.snap")
+        _approx_snapshot(path, _node_cells([(2, 3)], count=5))
+        assert "claims 5 cells, which overrun section 'cells/0'" in _one_line_error(path)
+
+    def test_count_cut_short(self, tmp_path):
+        path = str(tmp_path / "cut.snap")
+        _approx_snapshot(path, _node_cells([(1, 1)]) + b"\x00", labels=("a", "b"))
+        assert "ends inside the cell count of node 1" in _one_line_error(path)
+
+    def test_leftover_bytes(self, tmp_path):
+        path = str(tmp_path / "leftover.snap")
+        _approx_snapshot(path, _node_cells([(2, 3)]) + b"\x07")
+        assert "1 leftover bytes" in _one_line_error(path)
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        path = str(tmp_path / "v1.snap")
+        meta = {"node_count": 1, "num_cells": 8, "chunk": 4096}
+        _write_snapshot(
+            path,
+            "approx",
+            meta,
+            [("labels/0", b'["a"]'), ("registers/0", bytes([0, 3, 0, 0, 0, 0, 0, 1]))],
+            magic=b"repro-snap/1\n",
+        )
+        message = _one_line_error(path)
+        assert "unsupported snapshot version 'repro-snap/1'" in message
+        assert "'repro-snap/2'" in message
+
+
+class TestSparseSketchLayout:
+    def test_vhll_payload_lists_filled_cells_only(self, tmp_path):
+        sketch = VersionedHLL(precision=4)
+        sketch.add_pair(3, 2, 10)
+        sketch.add_pair(3, 5, 20)
+        sketch.add_pair(11, 1, 7)
+        path = str(tmp_path / "filled.snap")
+        save_sketches(path, {"a": sketch, "b": VersionedHLL(precision=4)})
+        with SnapshotReader(path) as reader:
+            block = reader.read_json("sketches/0")
+        assert block == [[[3, [[10, 2], [20, 5]]], [11, [[7, 1]]]], []]
+        assert load_sketches(path)["a"].to_dict() == sketch.to_dict()
+
+    @pytest.mark.parametrize(
+        "cells, match",
+        [
+            ([[16, [[1, 1]]]], "cell index 16 outside \\[0, 16\\)"),
+            ([[2, [[1, 1]]], [2, [[3, 2]]]], "cell 2 is listed twice"),
+            ([[2, []]], "cell 2 is listed without pairs"),
+            ([[2, [[5, 3], [4, 4]]]], "Pareto-frontier"),
+        ],
+    )
+    def test_bad_vhll_payload_is_a_one_line_error(self, tmp_path, cells, match):
+        path = str(tmp_path / "bad.snap")
+        meta = {"node_count": 1, "precision": 4, "salt": 0, "chunk": 4096}
+        _write_snapshot(
+            path,
+            "vhll",
+            meta,
+            [("labels/0", b'["a"]'), ("sketches/0", json.dumps([cells]).encode())],
+        )
+        with pytest.raises(ValueError, match=match) as excinfo:
+            load_sketches(path)
+        message = str(excinfo.value)
+        assert message.startswith(path + ": ")
+        assert "\n" not in message

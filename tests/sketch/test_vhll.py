@@ -321,6 +321,47 @@ class TestSerialization:
         with pytest.raises(ValueError, match="Pareto"):
             VersionedHLL.from_dict(payload)
 
+    def test_filled_cells_lists_only_filled_cells_in_order(self):
+        sketch = VersionedHLL(precision=4)
+        sketch.add_pair(9, 1, 4)
+        sketch.add_pair(2, 3, 8)
+        sketch.add_pair(2, 6, 9)
+        assert sketch.filled_cells() == [[2, [[8, 3], [9, 6]]], [9, [[4, 1]]]]
+        assert VersionedHLL(precision=4).filled_cells() == []
+
+    def test_from_filled_cells_rejects_bad_indices(self):
+        with pytest.raises(ValueError, match="outside"):
+            VersionedHLL.from_filled_cells(4, 0, [[16, [[1, 1]]]])
+        with pytest.raises(ValueError, match="outside"):
+            VersionedHLL.from_filled_cells(4, 0, [[-1, [[1, 1]]]])
+        with pytest.raises(ValueError, match="listed twice"):
+            VersionedHLL.from_filled_cells(4, 0, [[3, [[1, 1]]], [3, [[2, 2]]]])
+        with pytest.raises(ValueError, match="without pairs"):
+            VersionedHLL.from_filled_cells(4, 0, [[3, []]])
+
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**6),
+                st.integers(min_value=1, max_value=10**6),
+            ),
+            max_size=80,
+        ),
+        precision=st.integers(min_value=2, max_value=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_filled_cells_round_trip_equals_to_dict(self, items, precision):
+        sketch = VersionedHLL(precision=precision, salt=1)
+        for item, timestamp in items:
+            sketch.add(item, timestamp)
+        restored = VersionedHLL.from_filled_cells(precision, 1, sketch.filled_cells())
+        assert restored.to_dict() == sketch.to_dict()
+        assert restored.register_map() == sketch.register_map()
+        dense = sketch.effective_registers()
+        assert {cell: value for cell, value in enumerate(dense) if value} == (
+            sketch.register_map()
+        )
+
     @given(
         items=st.lists(
             st.tuples(

@@ -8,6 +8,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import build_parser, main
 from repro.core.interactions import InteractionLog
+from repro.serve.snapshot import SNAPSHOT_MAGIC
 
 
 @pytest.fixture
@@ -463,7 +464,7 @@ class TestSnapshotCommand:
     def test_load_corrupt_file_is_error(self, tmp_path, capsys):
         bad = str(tmp_path / "bad.snap")
         with open(bad, "wb") as handle:
-            handle.write(b"repro-snap/1\n" + b"\x00" * 3)
+            handle.write(SNAPSHOT_MAGIC + b"\x00" * 3)
         code, _ = run_cli(["snapshot", "load", bad])
         assert code == 1
         assert "truncated" in capsys.readouterr().err
