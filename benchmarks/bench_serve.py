@@ -8,14 +8,13 @@ sustain thousands of influence queries per second.  Four measurements:
 * ``OracleService.spread`` with a cold cache vs the LRU hit path;
 * a 4-thread closed-loop loadgen acceptance run (≥1k requests, zero
   errors tolerated) whose latency percentiles land in the results table;
-* ``test_serve_trend_rounds`` — several loadgen rounds aggregated into a
-  ``repro-servebench/1`` snapshot (median/IQR of each percentile across
-  rounds) written to ``$REPRO_SERVE_SNAPSHOT`` when set, the input of
-  the ``repro obs diff`` serve trend gate in CI (baseline:
-  ``benchmarks/results/SERVE_8.json``).
-"""
+* ``test_serve_mixed_ingest_rounds`` — loadgen rounds that mix
+  ``/v1/ingest`` batches into the reads, one results-table line per
+  round.
 
-import os
+Read latency under load is measured by ``perfbench`` (workload
+``serve-live``); these benchmarks assert correctness under load.
+"""
 
 import pytest
 from conftest import register_text
@@ -23,7 +22,6 @@ from conftest import register_text
 from repro.core.approx import ApproxIRS
 from repro.core.oracle import ApproxInfluenceOracle
 from repro.ingest.live import LiveIndex
-from repro.obs import trend
 from repro.serve.loadgen import ServiceClient, run_loadgen, synth_workload
 from repro.serve.service import OracleService
 from repro.serve.snapshot import load_oracle, save_oracle
@@ -33,16 +31,13 @@ PRECISION = 9
 LOADGEN_REQUESTS = 2_000
 LOADGEN_THREADS = 4
 
-#: Loadgen rounds aggregated into one serve-trend snapshot; the per-round
-#: workload is smaller than the acceptance run so five rounds stay cheap.
-TREND_ROUNDS = 5
-TREND_REQUESTS = 1_000
+#: Mixed read/write loadgen rounds; the per-round workload is smaller
+#: than the acceptance run so five rounds stay cheap.
+MIXED_ROUNDS = 5
+MIXED_REQUESTS = 1_000
 
-SERVE_SNAPSHOT_ENV = "REPRO_SERVE_SNAPSHOT"
-
-#: Mixed read/write trend: this share of requests are /v1/ingest batches.
+#: Share of each mixed round's requests that are /v1/ingest batches.
 INGEST_FRACTION = 0.2
-INGEST_SNAPSHOT_ENV = "REPRO_INGEST_SNAPSHOT"
 
 
 @pytest.fixture(scope="module")
@@ -122,98 +117,35 @@ def test_serve_loadgen_acceptance(benchmark, serve_oracle):
     )
 
 
-def test_serve_trend_rounds(serve_oracle):
-    """Aggregate ``TREND_ROUNDS`` loadgen rounds into a serve-trend snapshot.
-
-    Each round drives a deterministic workload (a fresh seed per round,
-    so the rounds differ the way real traffic samples do); the across-
-    round median/IQR of every latency percentile plus the throughput
-    become one ``repro-servebench/1`` document.  Runs as a plain test —
-    no ``benchmark`` fixture — so CI invokes it standalone with
-    ``-k serve_trend`` and writes the snapshot via the env var.
-    """
-    service = OracleService(serve_oracle, cache_size=256)
-    nodes = sorted(serve_oracle.nodes(), key=repr)
-    client = ServiceClient(service)
-    reports = []
-    for round_index in range(TREND_ROUNDS):
-        workload = synth_workload(nodes, TREND_REQUESTS, rng=13 + round_index)
-        report = run_loadgen(client, workload, threads=LOADGEN_THREADS)
-        assert report.errors == 0
-        assert report.requests == TREND_REQUESTS
-        reports.append(report.to_dict())
-    snapshot = trend.serve_bench_snapshot(
-        reports,
-        context={
-            "suite": "bench_serve",
-            "rounds": TREND_ROUNDS,
-            "requests_per_round": TREND_REQUESTS,
-            "threads": LOADGEN_THREADS,
-            "dataset": "slashdot-sim",
-            "window_percent": WINDOW_PERCENT,
-            "precision": PRECISION,
-        },
-    )
-    by_name = {entry["name"]: entry for entry in snapshot["benchmarks"]}
-    lines = [
-        f"{name:<26} median {entry['median']:>10.3f}  "
-        f"iqr {entry['iqr']:>8.3f}  ({TREND_ROUNDS} rounds)"
-        for name, entry in sorted(by_name.items())
-    ]
-    register_text("Serve-trend", "\n".join(lines))
-    path = os.environ.get(SERVE_SNAPSHOT_ENV, "")
-    if path:
-        trend.write_bench_snapshot(path, snapshot)
-
-
 def test_serve_mixed_ingest_rounds(serve_oracle):
-    """Query latency under concurrent ingestion, as a serve-trend snapshot.
+    """Reads beside concurrent ingestion: zero errors, writes applied.
 
-    Same aggregation as :func:`test_serve_trend_rounds`, but
     ``INGEST_FRACTION`` of each round's requests are write batches
-    applied to a live index through the same worker pool — so the read
-    percentiles here measure the cost of sharing the process with the
-    writer-priority ingest lock.
+    applied to a live index through the same worker pool, so the reads
+    share the process with the writer-priority ingest lock.  Each
+    round's latency percentiles become one line of the results table.
     """
     service = OracleService(serve_oracle, cache_size=256)
     nodes = sorted(serve_oracle.nodes(), key=repr)
-    reports = []
-    for round_index in range(TREND_ROUNDS):
+    lines = []
+    for round_index in range(MIXED_ROUNDS):
         live = LiveIndex(window=10_000, decay_window=50_000)
         client = ServiceClient(service, live=live)
         workload = synth_workload(
             nodes,
-            TREND_REQUESTS,
+            MIXED_REQUESTS,
             rng=29 + round_index,
             ingest_fraction=INGEST_FRACTION,
         )
         report = run_loadgen(client, workload, threads=LOADGEN_THREADS)
         assert report.errors == 0
-        assert report.requests == TREND_REQUESTS
+        assert report.requests == MIXED_REQUESTS
         assert report.per_endpoint.get("ingest", 0) > 0
         assert live.stats()["events_applied"] > 0
-        reports.append(report.to_dict())
-    snapshot = trend.serve_bench_snapshot(
-        reports,
-        context={
-            "suite": "bench_serve",
-            "mode": "mixed-ingest",
-            "ingest_fraction": INGEST_FRACTION,
-            "rounds": TREND_ROUNDS,
-            "requests_per_round": TREND_REQUESTS,
-            "threads": LOADGEN_THREADS,
-            "dataset": "slashdot-sim",
-            "window_percent": WINDOW_PERCENT,
-            "precision": PRECISION,
-        },
-    )
-    by_name = {entry["name"]: entry for entry in snapshot["benchmarks"]}
-    lines = [
-        f"{name:<26} median {entry['median']:>10.3f}  "
-        f"iqr {entry['iqr']:>8.3f}  ({TREND_ROUNDS} rounds)"
-        for name, entry in sorted(by_name.items())
-    ]
+        lines.append(
+            f"round {round_index + 1}  p50 {report.p50_ms:>8.3f} ms  "
+            f"p95 {report.p95_ms:>8.3f} ms  p99 {report.p99_ms:>8.3f} ms  "
+            f"{report.throughput_rps:>8.1f} rps  "
+            f"ingest {report.per_endpoint['ingest']}/{report.requests}"
+        )
     register_text("Serve-mixed-ingest", "\n".join(lines))
-    path = os.environ.get(INGEST_SNAPSHOT_ENV, "")
-    if path:
-        trend.write_bench_snapshot(path, snapshot)

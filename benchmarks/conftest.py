@@ -12,11 +12,6 @@ the ``catalog_logs`` fixture.
 When observability is on (``REPRO_OBS=1``) the session additionally writes
 ``benchmarks/results/metrics.jsonl`` — the full metric snapshot of the run
 — and prints the human-readable report after the reproduction tables.
-
-When ``REPRO_BENCH_SNAPSHOT=<path>`` is set the session also writes a
-schema-versioned performance snapshot (``repro-bench/1``: per-benchmark
-median/q1/q3/iqr plus obs counters) for ``repro obs diff`` — the CI
-trend gate's input (see :mod:`repro.obs.trend`).
 """
 
 from __future__ import annotations
@@ -30,11 +25,8 @@ import repro.obs as obs
 from repro.analysis.metrics import format_table
 from repro.core.interactions import InteractionLog
 from repro.datasets.catalog import dataset_names, load_dataset
-from repro.obs import trend
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-BENCH_SNAPSHOT_ENV = "REPRO_BENCH_SNAPSHOT"
 
 _TABLES: List[str] = []
 
@@ -56,45 +48,6 @@ def register_text(name: str, rendered: str) -> None:
         out.write(rendered + "\n")
 
 
-def bench_session_entries(config) -> List[Dict[str, object]]:
-    """Per-benchmark timing entries from the pytest-benchmark session."""
-    session = getattr(config, "_benchmarksession", None)
-    if session is None:
-        return []
-    entries: List[Dict[str, object]] = []
-    for bench in session.benchmarks:
-        stats = getattr(bench, "stats", None)
-        if stats is None:
-            continue  # collected but never ran (e.g. --benchmark-skip)
-        entries.append(
-            {
-                "name": bench.name,
-                "median": stats.median,
-                "q1": stats.q1,
-                "q3": stats.q3,
-                "iqr": stats.iqr,
-                "rounds": stats.rounds,
-                "mean": stats.mean,
-                "stddev": stats.stddev,
-                "group": getattr(bench, "group", None),
-            }
-        )
-    return entries
-
-
-def obs_counter_values() -> Dict[str, float]:
-    """Non-zero counter samples keyed ``name{label=value,...}``."""
-    counters: Dict[str, float] = {}
-    for sample in obs.snapshot(include_spans=False):
-        if sample.get("type") != "counter" or not sample.get("value"):
-            continue
-        labels = sample.get("labels", {})
-        label_text = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-        key = sample["name"] + (f"{{{label_text}}}" if label_text else "")
-        counters[key] = float(sample["value"])
-    return counters
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _TABLES:
         terminalreporter.section("paper reproduction tables")
@@ -111,30 +64,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line("")
         for line in obs.render_report(obs.snapshot()).splitlines():
             terminalreporter.write_line(line)
-    bench_path = os.environ.get(BENCH_SNAPSHOT_ENV, "")
-    if bench_path:
-        entries = bench_session_entries(config)
-        if entries:
-            snapshot = trend.bench_snapshot(
-                entries,
-                counters=obs_counter_values(),
-                context={
-                    "suite": "benchmarks",
-                    "keyword": config.getoption("-k", default="") or "",
-                    "benchmark_count": len(entries),
-                },
-            )
-            trend.write_bench_snapshot(bench_path, snapshot)
-            terminalreporter.section("performance snapshot (REPRO_BENCH_SNAPSHOT)")
-            terminalreporter.write_line(
-                f"wrote {bench_path} ({len(entries)} benchmarks, "
-                f"schema {trend.BENCH_SCHEMA})"
-            )
-        else:
-            terminalreporter.write_line(
-                f"REPRO_BENCH_SNAPSHOT set but no benchmarks ran; {bench_path} "
-                "not written"
-            )
 
 
 @pytest.fixture(scope="session")

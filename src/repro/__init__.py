@@ -28,32 +28,40 @@ Quickstart::
     print(greedy_top_k(oracle, k=1))              # ['a']
 """
 
-from repro.core import (
-    ApproxInfluenceOracle,
-    ApproxIRS,
-    ExactInfluenceOracle,
-    ExactIRS,
-    Interaction,
-    InteractionLog,
-    celf_top_k,
-    greedy_top_k,
-    top_k_by_influence,
-)
-from repro.simulation import estimate_spread, run_tcic
+from __future__ import annotations
+
+import importlib
+
+#: Each public name and the subpackage it lives in.  Resolved on first
+#: access (PEP 562) so that importing a subpackage loads only what it
+#: needs: an eager import of ``repro.core`` here would load
+#: ``repro.lint.alloctrace`` before ``python -m repro.lint.alloctrace``
+#: executes it as ``__main__``, running the module twice with two copies
+#: of its state.
+_EXPORTS = {
+    "Interaction": "repro.core",
+    "InteractionLog": "repro.core",
+    "ExactIRS": "repro.core",
+    "ApproxIRS": "repro.core",
+    "ExactInfluenceOracle": "repro.core",
+    "ApproxInfluenceOracle": "repro.core",
+    "greedy_top_k": "repro.core",
+    "celf_top_k": "repro.core",
+    "top_k_by_influence": "repro.core",
+    "run_tcic": "repro.simulation",
+    "estimate_spread": "repro.simulation",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Interaction",
-    "InteractionLog",
-    "ExactIRS",
-    "ApproxIRS",
-    "ExactInfluenceOracle",
-    "ApproxInfluenceOracle",
-    "greedy_top_k",
-    "celf_top_k",
-    "top_k_by_influence",
-    "run_tcic",
-    "estimate_spread",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    """Import a public name from its subpackage on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

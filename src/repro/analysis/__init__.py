@@ -21,7 +21,6 @@ from repro.analysis.memory import (
     megabytes,
 )
 from repro.analysis.plots import ascii_chart, series_from_rows
-from repro.analysis.report import REPORT_SECTIONS, generate_report
 from repro.analysis.metrics import (
     SummaryStats,
     average_relative_error,
@@ -57,6 +56,4 @@ __all__ = [
     "format_table",
     "ascii_chart",
     "series_from_rows",
-    "generate_report",
-    "REPORT_SECTIONS",
 ]

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands cover the typical workflow end to end:
+These subcommands cover the typical workflow end to end:
 
 * ``generate`` — materialise a catalog dataset (or a generator) to an
   edge-list file;
@@ -10,17 +10,15 @@ Four subcommands cover the typical workflow end to end:
 * ``spread``   — expected TCIC spread of a given seed set;
 * ``explain``  — reconstruct the information channel behind an influence
   claim ("how could u have influenced v within ω?");
-* ``report``   — regenerate the full experiment report (markdown) at a
-  chosen scale;
 * ``obs``      — observability utilities: render a recorded metrics
-  snapshot (``obs report``), compare two benchmark snapshots under the
-  regression gate (``obs diff``), or evaluate per-route serving SLOs
-  against a metrics snapshot (``obs slo``);
+  snapshot (``obs report``) or evaluate per-route serving SLOs against a
+  metrics snapshot (``obs slo``);
 * ``xp``       — experiment-matrix orchestration: execute a declared
   matrix resumably into a ``repro-xp/1`` run directory (``xp run``),
-  render significance-tested evidence reports (``xp report``), compare
-  two runs under the trend-delta gate (``xp diff``), or list persisted
-  cells (``xp ls``) — see :mod:`repro.xp`;
+  render significance-tested evidence reports of the paper's tables and
+  figures (``xp report``), compare two runs under the trend-delta gate
+  (``xp diff``), or list persisted cells (``xp ls``) — see
+  :mod:`repro.xp`;
 * ``snapshot`` — build an influence oracle from an edge list and persist
   it as a ``repro-snap/2`` file (``snapshot save``), or verify and
   summarise an existing one (``snapshot load``);
@@ -53,7 +51,7 @@ from typing import List, Optional, Sequence
 
 import repro.obs as obs
 from repro.analysis.experiments import ALL_METHODS, select_seeds
-from repro.obs import from_jsonl, render_report, to_jsonl, to_prometheus, trend
+from repro.obs import from_jsonl, render_report, to_jsonl, to_prometheus
 from repro.core.interactions import InteractionLog
 from repro.datasets.catalog import dataset_names, load_dataset
 from repro.ingest.live import LIVE_MODES
@@ -177,24 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-percent", type=float, default=10.0, help="omega as %% of span"
     )
 
-    report = commands.add_parser(
-        "report", help="regenerate the experiment report (markdown)"
-    )
-    report.add_argument(
-        "--scale", type=float, default=0.2, help="catalog size multiplier"
-    )
-    report.add_argument("--seed", type=int, default=1, help="generator seed")
-    report.add_argument(
-        "--sections",
-        default="",
-        help="comma-separated subset of sections (default: all)",
-    )
-    report.add_argument(
-        "--output", "-o", default="", help="write to this file instead of stdout"
-    )
-
     obs_cmd = commands.add_parser(
-        "obs", help="observability utilities (snapshots, trend diffs)"
+        "obs", help="observability utilities (metrics snapshots, serving SLOs)"
     )
     obs_actions = obs_cmd.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_actions.add_parser(
@@ -208,31 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("table", "prometheus", "jsonl"),
         default="table",
         help="output rendering (default: table)",
-    )
-    obs_diff = obs_actions.add_parser(
-        "diff",
-        help="compare two BENCH_<n>.json benchmark snapshots "
-        "(exit 1 on regression unless --warn-only)",
-    )
-    obs_diff.add_argument("old", help="baseline bench snapshot (JSON)")
-    obs_diff.add_argument("new", help="candidate bench snapshot (JSON)")
-    obs_diff.add_argument(
-        "--threshold",
-        type=float,
-        default=trend.DEFAULT_THRESHOLD,
-        help="relative median slowdown tolerated before the IQR rule is "
-        "consulted (default: %(default)s)",
-    )
-    obs_diff.add_argument(
-        "--format",
-        choices=("table", "json", "markdown"),
-        default="table",
-        help="output rendering (default: table)",
-    )
-    obs_diff.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but always exit 0 (CI soft gate)",
     )
     obs_slo = obs_actions.add_parser(
         "slo",
@@ -453,23 +410,7 @@ def _command_explain(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_report(args: argparse.Namespace, out) -> int:
-    from repro.analysis.report import generate_report
-
-    sections = tuple(s for s in args.sections.split(",") if s) or None
-    rendered = generate_report(scale=args.scale, seed=args.seed, sections=sections)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote report to {args.output}", file=out)
-    else:
-        print(rendered, file=out)
-    return 0
-
-
 def _command_obs(args: argparse.Namespace, out) -> int:
-    if args.obs_command == "diff":
-        return _command_obs_diff(args, out)
     if args.obs_command == "slo":
         return _command_obs_slo(args, out)
     return _command_obs_report(args, out)
@@ -497,16 +438,6 @@ def _command_obs_report(args: argparse.Namespace, out) -> int:
         print(to_prometheus(samples), file=out, end="")
     else:
         print(to_jsonl(samples), file=out, end="")
-    return 0
-
-
-def _command_obs_diff(args: argparse.Namespace, out) -> int:
-    old = trend.load_bench_snapshot(args.old)
-    new = trend.load_bench_snapshot(args.new)
-    diff = trend.diff_snapshots(old, new, threshold=args.threshold)
-    print(trend.render_diff(diff, args.format), file=out, end="")
-    if trend.has_regressions(diff) and not args.warn_only:
-        return 1
     return 0
 
 
@@ -677,7 +608,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         "topk": _command_topk,
         "spread": _command_spread,
         "explain": _command_explain,
-        "report": _command_report,
         "obs": _command_obs,
         "xp": _command_xp,
         "ingest": _command_ingest,

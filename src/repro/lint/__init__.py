@@ -23,33 +23,9 @@ rests on but the Python type system never sees:
 
 This package deliberately depends on nothing outside the standard
 library so that the algorithm modules can import the contract decorators
-without creating import cycles.  Importing it loads only the runtime
-layers; the static linter lives in its submodules (``repro.lint.engine``,
-``.rules``, ``.project``, ``.baseline``, ``.sarif``, ``.reporting``) and
-is imported from there, so ``import repro.core`` never pays for it.
+without creating import cycles.  Importing the package loads nothing:
+every layer is imported from its submodule (``repro.lint.contracts``,
+``.alloctrace``, ``.locktrace``, ``.engine``, ``.rules``, ...), so
+``import repro.core`` never pays for the static linter and
+``python -m repro.lint.alloctrace`` runs its module exactly once.
 """
-
-from __future__ import annotations
-
-# NOTE: the @hotpath/@coldpath decorators are imported from
-# repro.lint.alloctrace directly (like @invariant from .contracts) —
-# re-exporting them here would shadow the repro.lint.hotpath submodule.
-from repro.lint.alloctrace import ALLOC_ENV, allocs_enabled
-from repro.lint.contracts import (
-    CONTRACTS_ENV,
-    ContractViolation,
-    contracts_enabled,
-    invariant,
-)
-from repro.lint.locktrace import LOCKS_ENV, locks_enabled
-
-__all__ = [
-    "ALLOC_ENV",
-    "CONTRACTS_ENV",
-    "ContractViolation",
-    "LOCKS_ENV",
-    "allocs_enabled",
-    "contracts_enabled",
-    "invariant",
-    "locks_enabled",
-]

@@ -92,7 +92,6 @@ __all__ = [
     "render_report",
     "profile",
     "memprof",
-    "trend",
     "slo",
 ]
 
@@ -219,13 +218,13 @@ REGISTRY.enable_from_env()
 profile.enable_from_env()
 memprof.enable_from_env()
 
-#: Submodules only the CLI, serve and benchmark layers use; the algorithm
-#: layer imports ``repro.obs`` for counters and spans and never pays for them.
-_LAZY_SUBMODULES = frozenset({"slo", "trend"})
+#: Submodules only the CLI and serve layers use; the algorithm layer
+#: imports ``repro.obs`` for counters and spans and never pays for them.
+_LAZY_SUBMODULES = frozenset({"slo"})
 
 
 def __getattr__(name: str) -> object:
-    """Import ``obs.slo`` / ``obs.trend`` on first attribute access (PEP 562)."""
+    """Import ``obs.slo`` on first attribute access (PEP 562)."""
     if name in _LAZY_SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -364,7 +364,7 @@ def load_slo_specs(path: str) -> List[SLOSpec]:
     """Read a JSON spec file: ``[{"route", "p99_ms", "error_budget"}, …]``.
 
     Every failure mode surfaces as a one-line ``ValueError`` naming the
-    file, matching the trend/snapshot loader convention.
+    file, matching the snapshot loader convention.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:

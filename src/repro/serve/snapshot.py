@@ -39,8 +39,7 @@ payloads), so opening a snapshot costs O(#sections) regardless of size;
 payload bytes are read and CRC-verified lazily, section by section, when
 first accessed.  Every failure mode — bad magic, foreign version,
 truncated file, CRC mismatch, missing section — surfaces as a one-line
-``ValueError`` naming the file (the convention of
-:func:`repro.obs.trend.load_bench_snapshot`).
+``ValueError`` naming the file.
 
 Writes go to ``<path>.tmp`` and are atomically renamed into place, so a
 serving process hot-reloading the path never observes a half-written

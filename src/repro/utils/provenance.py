@@ -1,10 +1,9 @@
 """Run provenance: where did these numbers come from?
 
-Every persisted measurement in the repository — performance-trend
-snapshots (:mod:`repro.obs.trend`), experiment-matrix cell results
-(:mod:`repro.xp.store`) — must be attributable to the machine that
-produced it and the code that was running.  This module is the single
-definition of both fingerprints so the formats can never drift apart:
+Every persisted measurement in the repository — experiment-matrix cell
+results (:mod:`repro.xp.store`) above all — must be attributable to the
+machine that produced it and the code that was running.  This module is
+the single definition of both fingerprints:
 
 * :func:`machine_fingerprint` — interpreter, platform, CPU count; the
   reader of a snapshot uses it to judge whether a timing comparison is

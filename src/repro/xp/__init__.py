@@ -15,8 +15,8 @@ invocations:
 * :mod:`repro.xp.store`  — the versioned (``repro-xp/1``) per-cell
   result store with full machine/code provenance;
 * :mod:`repro.xp.stats`  — significance testing over per-seed replicates
-  (Mann-Whitney U, bootstrap CIs) sharing the IQR rule of
-  :mod:`repro.obs.trend`;
+  (Mann-Whitney U, bootstrap CIs) and the one median-plus-disjoint-IQR
+  verdict rule (:func:`~repro.xp.stats.compare_samples`);
 * :mod:`repro.xp.report` — markdown/HTML evidence reports and cross-run
   trend deltas (``repro xp report`` / ``repro xp diff``).
 

@@ -3,10 +3,9 @@
 Wired into the main :mod:`repro.cli` parser; kept here so the matrix
 machinery only imports when an ``xp`` command actually runs.
 
-Exit codes follow ``repro obs diff``: ``xp diff`` exits 1 when any
-measurement regressed (unless ``--warn-only``), ``xp run`` exits 1 when
-any cell failed or was interrupted, ``xp report``/``xp ls`` exit 1 only
-on unreadable inputs.
+Exit codes: ``xp diff`` exits 1 when any measurement regressed (unless
+``--warn-only``), ``xp run`` exits 1 when any cell failed or was
+interrupted, ``xp report``/``xp ls`` exit 1 only on unreadable inputs.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ import dataclasses
 import sys
 from typing import List
 
-from repro.obs.trend import DEFAULT_THRESHOLD
-from repro.xp.stats import DEFAULT_ALPHA
+from repro.xp.stats import DEFAULT_ALPHA, DEFAULT_THRESHOLD
 
 __all__ = ["add_xp_parser", "command_xp"]
 

@@ -13,7 +13,7 @@ a reviewer can regenerate the exact tables from the store alone:
 * :func:`diff_runs` / :func:`render_diff` — trend deltas versus a prior
   run directory under the three-part rule of
   :func:`repro.xp.stats.compare_samples` (median shift + disjoint IQRs
-  + rank-test rejection), exit-coded like ``repro obs diff``;
+  + rank-test rejection); ``repro xp diff`` exits 1 on a regression;
 * :func:`render_markdown` / :func:`render_html` — the same section
   model as GitHub-flavoured markdown or a self-contained HTML page
   (CI uploads the latter as the run artifact).
@@ -27,13 +27,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.trend import DEFAULT_THRESHOLD, quartiles
 from repro.xp.spec import EXPERIMENTS
 from repro.xp.stats import (
     DEFAULT_ALPHA,
+    DEFAULT_THRESHOLD,
     bootstrap_ci,
     compare_samples,
     mann_whitney_u,
+    quartiles,
     significance_marker,
 )
 from repro.xp.store import ResultStore

@@ -1,20 +1,24 @@
 """Significance testing for experiment-cell comparisons.
 
 Dependency-free implementations of the two tests the evidence reports
-need, plus the comparison rule shared with the performance-trend gate:
+need, plus the one median-plus-disjoint-IQR comparison rule in the tree:
 
+* :func:`quartiles` — ``median``/``q1``/``q3``/``iqr`` by linear
+  interpolation, the summary both the verdict rule and the report
+  tables are built on;
 * :func:`mann_whitney_u` — two-sided Mann-Whitney U (Wilcoxon rank-sum)
   with tie correction and continuity-corrected normal approximation.
   The replicate counts here (3–10 seeds per cell) are far below any
   asymptotic regime, so the p-value is advisory — which is exactly why
   the verdict below *also* requires the median shift and disjoint-IQR
-  conditions of :func:`repro.obs.trend.diff_snapshots`.
+  conditions;
 * :func:`bootstrap_ci` — seeded percentile-bootstrap confidence interval
   of the median (or mean), for annotating point estimates.
 * :func:`compare_samples` — the three-part verdict rule: a difference
   counts only when (1) the median moved more than ``threshold``,
-  (2) the ``[q1, q3]`` ranges do not overlap (the trend-gate noise
-  rule, numerically identical via the shared :func:`quartiles`), and
+  (2) the ``[q1, q3]`` ranges do not overlap (the noise rule that makes
+  the verdict honest on shared runners: noisy metrics have wide,
+  overlapping IQRs, a genuine shift separates them), and
   (3) Mann-Whitney rejects at ``alpha``.
 """
 
@@ -25,10 +29,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.obs.trend import DEFAULT_THRESHOLD, quartiles
-
 __all__ = [
     "DEFAULT_ALPHA",
+    "DEFAULT_THRESHOLD",
+    "quartiles",
     "MannWhitneyResult",
     "rankdata",
     "mann_whitney_u",
@@ -39,6 +43,26 @@ __all__ = [
 
 #: Default two-sided significance level of the report annotations.
 DEFAULT_ALPHA = 0.05
+
+#: Default relative median shift that the verdict rule tolerates.
+DEFAULT_THRESHOLD = 0.10
+
+
+def quartiles(values: Sequence[float]) -> Dict[str, float]:
+    """``median``/``q1``/``q3``/``iqr`` of ``values`` (linear interpolation)."""
+    if not values:
+        raise ValueError("cannot take quartiles of an empty sequence")
+    ordered = sorted(float(v) for v in values)
+
+    def _at(quantile: float) -> float:
+        position = quantile * (len(ordered) - 1)
+        low = int(position)
+        high = min(low + 1, len(ordered) - 1)
+        fraction = position - low
+        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+    q1, median, q3 = _at(0.25), _at(0.5), _at(0.75)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
 def rankdata(values: Sequence[float]) -> List[float]:

@@ -13,9 +13,9 @@ code fingerprint is a finished cell) *and* cross-run comparable (the
 same parameters hash to the same key in a prior run directory, so trend
 deltas match cells without any name bookkeeping).
 
-Every document carries full provenance — the machine fingerprint shared
-with :mod:`repro.obs.trend` and the code fingerprint of the ``repro``
-sources that produced it (:mod:`repro.utils.provenance`).
+Every document carries full provenance — the machine fingerprint and
+the code fingerprint of the ``repro`` sources that produced it
+(:mod:`repro.utils.provenance`).
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ class ResultStore:
         return document.get("code_fingerprint") == expected
 
     def load(self, key: str) -> Dict[str, object]:
-        """Read + validate one cell document (one-line errors, like
-        :func:`repro.obs.trend.load_bench_snapshot`)."""
+        """Read + validate one cell document (one-line ``ValueError`` naming
+        the file for missing, truncated or foreign-schema documents)."""
         path = self._cell_path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:

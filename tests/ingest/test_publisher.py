@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -66,6 +67,44 @@ class TestPublishOnce:
         assert status["outcome"] == "failed"
         assert "error" in status
         assert publisher.stats()["failed"] == 1
+
+    def test_crash_before_rename_keeps_the_prior_generation(
+        self, live, service, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "live.snap")
+        publisher = SnapshotPublisher(live, service, path)
+        assert publisher.publish_once()["outcome"] == "published"
+        generation = service.info()["generation"]
+        prior_spread = live.spread(["a"])
+        live.apply("d", "e", 4)
+        assert live.spread(["a"]) != prior_spread
+
+        def crash(src, dst):
+            raise OSError("simulated crash between write and rename")
+
+        # The new snapshot is fully written to <path>.tmp, then the
+        # rename into place fails.
+        monkeypatch.setattr("repro.serve.snapshot.os.replace", crash)
+        status = publisher.publish_once()
+        monkeypatch.undo()
+
+        assert status["outcome"] == "failed"
+        assert "simulated crash" in status["error"]
+        assert publisher.stats()["failed"] == 1
+        assert service.info()["generation"] == generation
+        assert load_oracle(path).spread(["a"]) == prior_spread
+        assert not os.path.exists(path + ".tmp")
+
+    def test_stale_tmp_file_does_not_block_the_next_publish(
+        self, live, service, tmp_path
+    ):
+        path = str(tmp_path / "live.snap")
+        with open(path + ".tmp", "wb") as stale:
+            stale.write(b"garbage left by a crashed writer")
+        publisher = SnapshotPublisher(live, service, path)
+        assert publisher.publish_once()["outcome"] == "published"
+        assert load_oracle(path).spread(["a"]) == live.spread(["a"])
+        assert not os.path.exists(path + ".tmp")
 
     def test_stats_counters(self, live, service, tmp_path):
         publisher = SnapshotPublisher(

@@ -293,6 +293,40 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert alloctrace.main(["--bogus"]) == 2
 
 
+def test_cli_gate_runs_the_module_once(tmp_path):
+    # ``python -m`` warns (and executes a second module copy) when the
+    # parent packages already imported the module it is asked to run.
+    report_path = tmp_path / "report.json"
+    budget_path = tmp_path / "budget.json"
+    report_path.write_text(
+        json.dumps({"functions": {"pkg.fn": {"calls": 1, "max_call_net_bytes": 100}}})
+    )
+    budget_path.write_text(
+        json.dumps({"functions": {"pkg.fn": {"max_call_net_bytes": 200}}})
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    env.pop(ALLOC_ENV, None)
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.lint.alloctrace",
+            "--check",
+            str(report_path),
+            str(budget_path),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        cwd=_REPO_ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert "1 budget entry ok" in result.stdout
+
+
 # ----------------------------------------------------------------------
 # report ownership across subprocesses
 # ----------------------------------------------------------------------

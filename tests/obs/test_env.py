@@ -43,21 +43,21 @@ def test_any_other_value_enables_at_import():
     assert _run("jsonl") == "enabled"
 
 
-LAZY = ("repro.obs.slo", "repro.obs.trend")
+LAZY = ("repro.obs.slo",)
 
 
-def test_import_core_leaves_slo_and_trend_unloaded():
+def test_import_core_leaves_slo_unloaded():
     code = f"import sys, repro.core; print([m for m in {LAZY!r} if m in sys.modules])"
     assert _run(None, code) == "[]"
 
 
-def test_slo_and_trend_load_on_first_attribute_access():
+def test_slo_loads_on_first_attribute_access():
     code = (
         "import sys, repro.obs as obs; "
-        "print(obs.trend.__name__, obs.slo.__name__, "
+        "print(obs.slo.__name__, "
         f"all(m in sys.modules for m in {LAZY!r}))"
     )
-    assert _run(None, code) == "repro.obs.trend repro.obs.slo True"
+    assert _run(None, code) == "repro.obs.slo True"
 
 
 def test_unknown_attribute_still_raises():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import threading
 
@@ -105,6 +106,37 @@ class TestAccessLog:
         log.close()
         log.record({"request_id": "after-close"})
         assert log.recent()[0]["request_id"] == "after-close"
+
+    def test_full_disk_keeps_serving_from_the_ring(self, tmp_path):
+        class FullDisk:
+            """A file handle on a device with no space left."""
+
+            def __init__(self):
+                self.closes = 0
+
+            def _enospc(self, *args):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            write = flush = _enospc
+
+            def close(self):
+                self.closes += 1
+                self._enospc()
+
+        log = AccessLog(path=str(tmp_path / "access.log"))
+        log._handle.close()
+        full = log._handle = FullDisk()
+        log.record({"request_id": "disk-full", "status": 200})
+        assert log.recent()[-1]["request_id"] == "disk-full"
+        assert log.stats()["ring_entries"] == 1
+        log.close()
+        log.close()
+        assert full.closes == 1
+        log.record({"request_id": "after-close"})
+        assert [entry["request_id"] for entry in log.recent()] == [
+            "disk-full",
+            "after-close",
+        ]
 
     def test_validates_construction(self, tmp_path):
         with pytest.raises(ValueError, match="ring_size"):

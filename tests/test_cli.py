@@ -132,37 +132,6 @@ class TestExplain:
         assert "no information channel" in text
 
 
-class TestReport:
-    def test_report_to_stdout(self):
-        code, text = run_cli(
-            ["report", "--scale", "0.03", "--seed", "2", "--sections", "table2"]
-        )
-        assert code == 0
-        assert "# Experiment report" in text
-        assert "Table 2" in text
-
-    def test_report_to_file(self, tmp_path):
-        output = str(tmp_path / "report.md")
-        code, text = run_cli(
-            [
-                "report",
-                "--scale",
-                "0.03",
-                "--sections",
-                "table2",
-                "-o",
-                output,
-            ]
-        )
-        assert code == 0
-        assert "wrote report" in text
-        assert "# Experiment report" in open(output).read()
-
-    def test_unknown_section_is_error(self):
-        code, _ = run_cli(["report", "--scale", "0.03", "--sections", "tableX"])
-        assert code == 1
-
-
 class TestObs:
     @pytest.fixture(autouse=True)
     def clean_obs(self):
@@ -314,77 +283,84 @@ class TestProfileFlags:
         assert not obs.memprof.is_enabled()
 
 
-class TestObsDiff:
-    def write_snapshot(self, path, median, spread=0.01):
-        from repro.obs import trend
+class TestXpDiff:
+    """Exit codes of ``repro xp diff`` over fabricated run directories."""
 
-        snapshot = trend.bench_snapshot(
-            [
-                {
-                    "name": "bench_build",
-                    "median": median,
-                    "q1": median * (1 - spread),
-                    "q3": median * (1 + spread),
-                    "iqr": 2 * spread * median,
-                }
-            ]
+    def write_run(self, path, shift=0.0):
+        from repro.xp.spec import spec_from_dict
+        from repro.xp.store import ResultStore, cell_result_document
+
+        spec = spec_from_dict(
+            {
+                "name": "cli-diff",
+                "scale": 0.05,
+                "blocks": [
+                    {
+                        "experiment": "spread",
+                        "datasets": ["enron-sim"],
+                        "window_percents": [1],
+                        "precisions": [7],
+                        "methods": ["IRS-approx"],
+                        "seeds": [1, 2, 3],
+                        "params": {"ks": [2], "probabilities": [1.0], "runs": 1},
+                    }
+                ],
+            }
         )
-        trend.write_bench_snapshot(str(path), snapshot)
+        store = ResultStore(str(path), create=True)
+        for cell in spec.cells():
+            store.save(
+                cell_result_document(
+                    key=cell.key(),
+                    experiment=cell.experiment,
+                    params=cell.params(),
+                    rows=[
+                        {
+                            "k": 2,
+                            "probability": 1.0,
+                            "spread": 30.0 + cell.seed * 0.1 + shift,
+                        }
+                    ],
+                    duration_s=0.01,
+                )
+            )
         return str(path)
 
-    def test_regression_exits_nonzero(self, tmp_path):
-        old = self.write_snapshot(tmp_path / "old.json", 1.0)
-        new = self.write_snapshot(tmp_path / "new.json", 1.3)
-        code, text = run_cli(["obs", "diff", old, new])
-        assert code == 1
-        assert "regression" in text
-
-    def test_identical_snapshots_exit_zero(self, tmp_path):
-        old = self.write_snapshot(tmp_path / "old.json", 1.0)
-        code, text = run_cli(["obs", "diff", old, old])
+    def test_self_diff_exits_zero(self, tmp_path):
+        old = self.write_run(tmp_path / "old")
+        code, text = run_cli(["xp", "diff", old, old])
         assert code == 0
         assert "0 regression(s)" in text
 
-    def test_noisy_overlap_exits_zero(self, tmp_path):
-        old = self.write_snapshot(tmp_path / "old.json", 1.0, spread=0.25)
-        new = self.write_snapshot(tmp_path / "new.json", 1.15, spread=0.25)
-        code, text = run_cli(["obs", "diff", old, new])
-        assert code == 0
-        assert "ok" in text
+    def test_disjoint_iqr_regression_exits_nonzero(self, tmp_path):
+        old = self.write_run(tmp_path / "old")
+        new = self.write_run(tmp_path / "new", shift=-10.0)  # spread dropped
+        code, text = run_cli(["xp", "diff", old, new])
+        assert code == 1
+        assert "1 regression(s)" in text
 
     def test_warn_only_reports_but_exits_zero(self, tmp_path):
-        old = self.write_snapshot(tmp_path / "old.json", 1.0)
-        new = self.write_snapshot(tmp_path / "new.json", 1.3)
-        code, text = run_cli(["obs", "diff", old, new, "--warn-only"])
+        old = self.write_run(tmp_path / "old")
+        new = self.write_run(tmp_path / "new", shift=-10.0)
+        code, text = run_cli(["xp", "diff", old, new, "--warn-only"])
         assert code == 0
         assert "regression" in text
 
-    def test_formats_render(self, tmp_path):
-        old = self.write_snapshot(tmp_path / "old.json", 1.0)
-        code, markdown = run_cli(
-            ["obs", "diff", old, old, "--format", "markdown"]
-        )
-        assert code == 0 and markdown.startswith("| benchmark |")
-        code, as_json = run_cli(["obs", "diff", old, old, "--format", "json"])
-        assert code == 0
-        assert json.loads(as_json)["rows"][0]["verdict"] == "ok"
+    def test_json_format_carries_the_verdict(self, tmp_path):
+        old = self.write_run(tmp_path / "old")
+        new = self.write_run(tmp_path / "new", shift=-10.0)
+        code, as_json = run_cli(["xp", "diff", old, new, "--format", "json"])
+        assert code == 1
+        assert [row["verdict"] for row in json.loads(as_json)["rows"]] == [
+            "regression"
+        ]
 
-    def test_missing_file_is_one_line_error(self, tmp_path, capsys):
-        old = self.write_snapshot(tmp_path / "old.json", 1.0)
-        code, _ = run_cli(["obs", "diff", old, str(tmp_path / "gone.json")])
+    def test_missing_run_directory_is_one_line_error(self, tmp_path, capsys):
+        old = self.write_run(tmp_path / "old")
+        code, _ = run_cli(["xp", "diff", old, str(tmp_path / "gone")])
         assert code == 1
         err = capsys.readouterr().err.strip()
-        assert err.startswith(f"error: {tmp_path / 'gone.json'}:")
-        assert "\n" not in err and "Traceback" not in err
-
-    def test_schema_mismatch_is_one_line_error(self, tmp_path, capsys):
-        old = self.write_snapshot(tmp_path / "old.json", 1.0)
-        foreign = tmp_path / "foreign.json"
-        foreign.write_text('{"schema": "speedscope/2"}', encoding="utf-8")
-        code, _ = run_cli(["obs", "diff", old, str(foreign)])
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert "foreign schema" in err
+        assert err.startswith(f"error: {tmp_path / 'gone'}:")
         assert "\n" not in err and "Traceback" not in err
 
 

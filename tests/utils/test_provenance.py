@@ -1,14 +1,7 @@
-"""Tests for the shared provenance helpers.
-
-The point of :mod:`repro.utils.provenance` is that machine and code
-fingerprints have exactly one definition; the regression test below
-pins the trend module to the shared function so the formats cannot
-silently fork again.
-"""
+"""Tests for the shared provenance helpers (machine and code fingerprints)."""
 
 import os
 
-from repro.obs import trend
 from repro.utils import provenance
 
 
@@ -23,11 +16,6 @@ class TestMachineFingerprint:
             "cpu_count",
         }
         assert fingerprint["cpu_count"] >= 0
-
-    def test_trend_reexports_the_same_function(self):
-        # Regression: trend.py used to carry its own copy; it must now be
-        # the one shared definition, not a lookalike.
-        assert trend.machine_fingerprint is provenance.machine_fingerprint
 
 
 class TestCodeFingerprint:

@@ -3,13 +3,49 @@
 import pytest
 
 from repro.xp.stats import (
+    DEFAULT_THRESHOLD,
     MannWhitneyResult,
     bootstrap_ci,
     compare_samples,
     mann_whitney_u,
+    quartiles,
     rankdata,
     significance_marker,
 )
+
+
+class TestQuartiles:
+    def test_odd_length(self):
+        assert quartiles([3, 1, 2]) == {
+            "median": 2.0,
+            "q1": 1.5,
+            "q3": 2.5,
+            "iqr": 1.0,
+        }
+
+    def test_even_length(self):
+        assert quartiles([4, 2, 1, 3]) == {
+            "median": 2.5,
+            "q1": 1.75,
+            "q3": 3.25,
+            "iqr": 1.5,
+        }
+
+    def test_linear_interpolation_between_neighbours(self):
+        stats = quartiles([0.0, 10.0])
+        assert stats["q1"] == pytest.approx(2.5)
+        assert stats["median"] == pytest.approx(5.0)
+        assert stats["q3"] == pytest.approx(7.5)
+
+    def test_single_value_has_zero_iqr(self):
+        assert quartiles([4.0]) == {"median": 4.0, "q1": 4.0, "q3": 4.0, "iqr": 0.0}
+
+    def test_empty_sequence_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            quartiles([])
+
+    def test_default_threshold(self):
+        assert DEFAULT_THRESHOLD == 0.10
 
 
 class TestRankdata:
