@@ -1,7 +1,7 @@
 """Lint engine throughput over the real ``src/repro`` tree.
 
 Not a paper table — this tracks the cost of the static-analysis gate
-itself so the whole-program rules (project index + call graph) stay
+itself so the whole-program rules (project index + call resolution) stay
 cheap enough to run on every commit.  Three timings: serial, parallel
 parse (``--jobs 2``), and the per-file rules alone (the difference to
 the full run is the price of the cross-module analysis).
@@ -13,15 +13,11 @@ from conftest import register_table
 
 import repro
 from repro.lint.engine import LintEngine
-from repro.lint.rules import all_rules, expand_rule_selectors, select_rules
+from repro.lint.rules import all_rules, select_rules
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
 FILE_RULE_IDS = [rule.rule_id for rule in all_rules() if not rule.project_scope]
-HOTPATH_RULE_IDS = expand_rule_selectors(["R3"])
-NON_HOTPATH_RULE_IDS = [
-    rule.rule_id for rule in all_rules() if rule.rule_id not in HOTPATH_RULE_IDS
-]
 
 
 def test_lint_whole_tree_serial(benchmark):
@@ -54,21 +50,3 @@ def test_lint_file_rules_only(benchmark):
     violations, _ = benchmark(engine.lint_paths, [SRC_ROOT])
     assert violations == []
 
-
-def test_lint_hotpath_rules_only(benchmark):
-    """Cost of the R301–R305 hot-region analysis alone.
-
-    The hot-region closure (benchmark-root seeding + call-graph BFS +
-    the five checkers) runs once per index and is cached, so this case
-    prices the whole hot-path family; comparing against the run below
-    (everything *except* R3xx) isolates its share of the full gate.
-    """
-    engine = LintEngine(select_rules(HOTPATH_RULE_IDS))
-    violations, _ = benchmark(engine.lint_paths, [SRC_ROOT])
-    assert violations == []
-
-
-def test_lint_without_hotpath_rules(benchmark):
-    engine = LintEngine(select_rules(NON_HOTPATH_RULE_IDS))
-    violations, _ = benchmark(engine.lint_paths, [SRC_ROOT])
-    assert violations == []

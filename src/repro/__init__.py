@@ -33,11 +33,9 @@ from __future__ import annotations
 import importlib
 
 #: Each public name and the subpackage it lives in.  Resolved on first
-#: access (PEP 562) so that importing a subpackage loads only what it
-#: needs: an eager import of ``repro.core`` here would load
-#: ``repro.lint.alloctrace`` before ``python -m repro.lint.alloctrace``
-#: executes it as ``__main__``, running the module twice with two copies
-#: of its state.
+#: access (PEP 562) so that importing a subpackage (``repro.lint``,
+#: ``repro.serve``, ...) loads only what it needs, not the whole
+#: algorithm layer.
 _EXPORTS = {
     "Interaction": "repro.core",
     "InteractionLog": "repro.core",

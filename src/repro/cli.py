@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import repro.obs as obs
-from repro.analysis.experiments import ALL_METHODS, select_seeds
+from repro.analysis.experiments import select_seeds
 from repro.obs import from_jsonl, render_report, to_jsonl, to_prometheus
 from repro.core.interactions import InteractionLog
 from repro.datasets.catalog import dataset_names, load_dataset

@@ -19,11 +19,11 @@ from typing import Dict, Hashable, Iterable, Optional
 import repro.obs as obs
 from repro.core.interactions import InteractionLog
 from repro.core.scan import ReverseScan
-from repro.lint.contracts import invariant, post_approx_apply
 from repro.obs import OBS_STATE as _OBS
 from repro.sketch.hashing import split_hash
 from repro.sketch.hll import estimate_from_registers
 from repro.sketch.vhll import VersionedHLL
+from repro.utils.contracts import invariant, post_approx_apply
 from repro.utils.validation import require_int, require_non_negative, require_type
 
 __all__ = ["ApproxIRS"]
@@ -138,7 +138,6 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
     def _new_summary(self) -> VersionedHLL:
         return VersionedHLL(self._precision, self._salt)
 
-    # repro-lint: hotpath
     @invariant(post_approx_apply)
     def _apply(
         self,

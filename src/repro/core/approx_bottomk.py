@@ -67,7 +67,6 @@ class BottomKIRS(ReverseScan[VersionedBottomK]):
     def _new_summary(self) -> VersionedBottomK:
         return VersionedBottomK(self._k, self._salt)
 
-    # repro-lint: hotpath
     def _apply(
         self,
         source: Node,

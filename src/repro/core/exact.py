@@ -24,8 +24,8 @@ import repro.obs as obs
 from repro.core.interactions import InteractionLog
 from repro.core.scan import ReverseScan
 from repro.core.summary import IRSSummary
-from repro.lint.contracts import invariant, post_exact_apply
 from repro.obs import OBS_STATE as _OBS
+from repro.utils.contracts import invariant, post_exact_apply
 from repro.utils.validation import require_int, require_non_negative, require_type
 
 __all__ = ["ExactIRS"]
@@ -112,7 +112,6 @@ class ExactIRS(ReverseScan[IRSSummary]):
     def _new_summary(self) -> IRSSummary:
         return IRSSummary()
 
-    # repro-lint: hotpath
     @invariant(post_exact_apply)
     def _apply(
         self,

@@ -83,12 +83,10 @@ class MultiWindowIRS(ReverseScan[Frontier]):
     def _new_summary(self) -> Frontier:
         return {}
 
-    # repro-lint: hotpath
     def _copy(self, summary: Frontier) -> Frontier:
         # The per-pair entry lists are mutated in place, so copy them too.
-        return {v: list(entries) for v, entries in summary.items()}  # repro-lint: disable=R301 (tied-batch snapshot isolation requires a pre-batch copy)
+        return {v: list(entries) for v, entries in summary.items()}
 
-    # repro-lint: hotpath
     def _apply(
         self,
         source: Node,
@@ -121,18 +119,18 @@ class MultiWindowIRS(ReverseScan[Frontier]):
     ) -> None:
         entries = frontier.get(target)
         if entries is None:
-            frontier[target] = [(start, end)]  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
+            frontier[target] = [(start, end)]
             return
         last_start, last_end = entries[-1]
         if start == last_start:
             # Same batch stamp: keep the smaller end.
             if end < last_end:
-                entries[-1] = (start, end)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
+                entries[-1] = (start, end)
             return
         # Reverse scan guarantees start < last_start; the new entry joins
         # the frontier iff it strictly improves the minimal end.
         if end < last_end:
-            entries.append((start, end))  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
+            entries.append((start, end))
 
     # ------------------------------------------------------------------
     # Queries
@@ -147,7 +145,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return None
-        return min(end - start + 1 for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
+        return min(end - start + 1 for start, end in entries)
 
     def reaches(self, source: Node, target: Node, window: int) -> bool:
         """``target ∈ σω(source)`` for ω = ``window``."""
@@ -155,7 +153,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return False
-        return any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
+        return any(end - start + 1 <= window for start, end in entries)
 
     def earliest_end(
         self, source: Node, target: Node, window: int
@@ -165,9 +163,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         entries = self._summaries.get(source, {}).get(target)
         if not entries:
             return None
-        candidates = [
-            end for start, end in entries if end - start + 1 <= window  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
-        ]
+        candidates = [end for start, end in entries if end - start + 1 <= window]
         return min(candidates) if candidates else None
 
     def reachability_set(self, source: Node, window: int) -> set[Node]:
@@ -177,7 +173,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
         return {
             target
             for target, entries in frontier.items()
-            if any(end - start + 1 <= window for start, end in entries)  # repro-lint: disable=R304 (interval frontiers are short (start, end) tuple lists that frontier() returns as-is)
+            if any(end - start + 1 <= window for start, end in entries)
         }
 
     def irs_size(self, source: Node, window: int) -> int:

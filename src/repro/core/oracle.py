@@ -106,7 +106,7 @@ class ExactInfluenceOracle(InfluenceOracle):
     def __init__(self, sets: Dict[Node, Set[Node]]) -> None:
         require_type(sets, "sets", dict)
         self._sets: Dict[Node, frozenset] = {
-            node: frozenset(reached) for node, reached in sets.items()  # repro-lint: disable=R301 (one-time defensive copy at construction, not a query-path allocation)
+            node: frozenset(reached) for node, reached in sets.items()
         }
         self._obs_spread = _QUERY_SECONDS.labels(kind="exact", op="spread")
         self._obs_gain = _QUERY_SECONDS.labels(kind="exact", op="gain")

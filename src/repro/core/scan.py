@@ -62,7 +62,6 @@ class ReverseScan(Generic[S]):
     def _copy(self, summary: S) -> S:
         return summary.copy()
 
-    # repro-lint: hotpath
     def _scan(self, log: InteractionLog) -> None:
         """One reverse pass over ``log``, ties batched; then every node of
         the log gets a (possibly empty) summary, so pure sinks answer
@@ -98,7 +97,6 @@ class ReverseScan(Generic[S]):
                 self._apply(record.source, target, record.time, snapshots[target])
         self._last_time = records[0].time
 
-    # repro-lint: hotpath
     def process(self, source: Node, target: Node, time: int) -> None:
         """Process one interaction; times must be strictly decreasing.
 
@@ -115,7 +113,6 @@ class ReverseScan(Generic[S]):
         self._last_time = time
         self._apply(source, target, time, self._summaries.get(target))
 
-    # repro-lint: hotpath
     def process_tied(
         self,
         source: Node,
@@ -138,7 +135,6 @@ class ReverseScan(Generic[S]):
         self._last_time = time
         self._apply(source, target, time, target_summary)
 
-    # repro-lint: hotpath
     def snapshot(self, node: Node) -> Optional[S]:
         """An isolated copy of the node's summary (None when unseen)."""
         existing = self._summaries.get(node)

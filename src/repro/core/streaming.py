@@ -54,8 +54,8 @@ import repro.obs as obs
 from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
 from repro.core.interactions import InteractionLog
-from repro.lint.contracts import invariant, post_streaming_process
 from repro.obs import OBS_STATE as _OBS
+from repro.utils.contracts import invariant, post_streaming_process
 from repro.utils.validation import require_int, require_type
 
 __all__ = [

@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import Dict, Hashable, ItemsView, Iterator, KeysView, Optional
 
 import repro.obs as obs
-from repro.lint.alloctrace import hotpath
-from repro.lint.contracts import invariant, post_summary_add, post_summary_merge
 from repro.obs import OBS_STATE as _OBS
+from repro.utils.contracts import invariant, post_summary_add, post_summary_merge
 from repro.utils.validation import require_int, require_non_negative, require_type
 
 __all__ = ["IRSSummary"]
@@ -58,7 +57,6 @@ class IRSSummary:
     # Updates (paper Algorithm 2's Add / Merge)
     # ------------------------------------------------------------------
     @invariant(post_summary_add)
-    @hotpath
     def add(self, node: Node, end_time: int) -> None:
         """Record a channel to ``node`` ending at ``end_time``; keep the min.
 
@@ -72,7 +70,6 @@ class IRSSummary:
             self._entries[node] = end_time
 
     @invariant(post_summary_merge)
-    @hotpath
     def merge_within(
         self,
         other: "IRSSummary",
@@ -182,7 +179,6 @@ class IRSSummary:
         return clone
 
     @classmethod
-    @hotpath
     def union(cls, *summaries: "IRSSummary") -> "IRSSummary":
         """Pointwise-minimum union of several summaries."""
         result = cls()

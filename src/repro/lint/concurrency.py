@@ -40,7 +40,7 @@ The model is conservative in both directions where it must be:
   disable=R201`` next to a comment explaining why they are safe.
 
 The runtime counterpart of this static pass is
-:mod:`repro.lint.locktrace` (``REPRO_DEBUG_LOCKS=1``).
+:mod:`repro.obs.locktrace` (``REPRO_DEBUG_LOCKS=1``).
 """
 
 from __future__ import annotations

@@ -35,8 +35,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.lint import concurrency  # noqa: F401 — registers R201–R205
-from repro.lint import rules_project  # noqa: F401 — registers R101–R105
-from repro.lint.hotpath import collect_benchmark_roots  # registers R301–R305
+from repro.lint import rules_project  # noqa: F401 — registers R101–R106
 from repro.lint.project import ProjectIndex, collect_reference_identifiers
 from repro.lint.rules import Rule, all_rules
 
@@ -302,7 +301,6 @@ class LintEngine:
         reference_roots = self._resolve_reference_roots(targets)
         external = collect_reference_identifiers(reference_roots)
         index = ProjectIndex.from_contexts(contexts.values(), external)
-        index.benchmark_roots |= collect_benchmark_roots(index, reference_roots)
         violations: list = []
         for rule in self.project_rules:
             for violation in rule.check_project(index):

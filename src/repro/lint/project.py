@@ -5,12 +5,12 @@ paper's correctness, however, rests on *cross-module* invariants —
 window/precision parameters flowing validated through every call path,
 vHLL sketches merged only with identical ``(precision, salt)`` (Lemma
 2, §3.2), reverse-chronological input feeding Algorithm 2.  This module
-builds the shared substrate those rules (R101–R105 in
+builds the shared substrate those rules (R101–R106 in
 :mod:`repro.lint.rules_project`) query:
 
 * per-module **symbol tables** (top-level functions, classes, methods);
 * the **import graph** (local alias → dotted target);
-* a conservative **call graph** via :meth:`ProjectIndex.call_graph`,
+* conservative **call resolution** via :meth:`ProjectIndex.resolve_call`,
   resolving ``name(...)``, ``module.name(...)``, ``self.method(...)``
   and ``cls(...)`` call forms to indexed functions;
 * lightweight per-class dataflow facts: ``self._attr = param`` aliases
@@ -36,7 +36,7 @@ import ast
 import builtins
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -226,9 +226,6 @@ class ModuleInfo:
     path: str
     tree: ast.Module
     subpackage: Optional[str]
-    #: Raw source text, when available — lets rules read marker comments
-    #: (``# repro-lint: hotpath``) that the AST does not carry.
-    source: str = ""
     is_package_init: bool = False
     imports: Dict[str, str] = field(default_factory=dict)
     import_bindings: Set[str] = field(default_factory=set)
@@ -259,10 +256,6 @@ class ProjectIndex:
         #: Identifiers referenced outside ``src`` (tests, benchmarks,
         #: examples) — external liveness roots for R104.
         self.external_identifiers: Set[str] = set(external_identifiers or ())
-        #: Hot-region seed qualnames resolved from ``benchmarks/bench_*.py``
-        #: call roots — filled by the engine via
-        #: :func:`repro.lint.hotpath.collect_benchmark_roots`.
-        self.benchmark_roots: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -276,9 +269,7 @@ class ProjectIndex:
         """Build an index from parsed :class:`~repro.lint.engine.FileContext`s."""
         index = cls(external_identifiers)
         for ctx in contexts:
-            index.add_module(
-                ctx.path, ctx.tree, ctx.subpackage, getattr(ctx, "source", "")
-            )
+            index.add_module(ctx.path, ctx.tree, ctx.subpackage)
         return index
 
     def add_module(
@@ -286,7 +277,6 @@ class ProjectIndex:
         path: str,
         tree: ast.Module,
         subpackage: Optional[str],
-        source: str = "",
     ) -> ModuleInfo:
         name = module_name_for_path(path)
         info = ModuleInfo(
@@ -294,7 +284,6 @@ class ProjectIndex:
             path=path,
             tree=tree,
             subpackage=subpackage,
-            source=source,
             is_package_init=Path(path).name == "__init__.py",
         )
         self._collect_imports(info)
@@ -514,47 +503,6 @@ class ProjectIndex:
             yield from module.functions.values()
             for cls_info in module.classes.values():
                 yield from cls_info.methods.values()
-
-    def function(self, qualname: str) -> Optional[FunctionInfo]:
-        for fn in self.all_functions():
-            if fn.qualname == qualname or fn.qualname.endswith("." + qualname):
-                return fn
-        return None
-
-    def call_graph(self) -> Dict[str, Set[str]]:
-        """``caller qualname → {resolved callee qualnames}``."""
-        graph: Dict[str, Set[str]] = {}
-        for fn in self.all_functions():
-            edges: Set[str] = set()
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                dotted = _call_dotted_name(node)
-                if dotted is None:
-                    continue
-                resolved = self.resolve_call(fn.module, dotted, fn.owner)
-                if resolved is None:
-                    continue
-                kind, target = resolved
-                if kind == "function":
-                    edges.add(target.qualname)
-                elif kind == "class":
-                    init = target.init
-                    edges.add(init.qualname if init is not None else target.qualname)
-            graph[fn.qualname] = edges
-        return graph
-
-
-def _call_dotted_name(call: ast.Call) -> Optional[str]:
-    parts: List[str] = []
-    node: ast.AST = call.func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def bind_arguments(fn: FunctionInfo, call: ast.Call) -> Optional[Dict[str, ast.AST]]:

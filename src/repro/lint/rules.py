@@ -512,15 +512,12 @@ TIMING_ATTRS = frozenset(
     }
 )
 
-#: Files allowed to read the clock directly: the instrumented layer
-#: itself, plus the runtime lock sanitizer (it timestamps acquire/release
-#: pairs and must not route through the layer it instruments).  Matched
-#: against normalised path suffixes.
+#: Files outside ``repro.obs`` allowed to read the clock directly: the
+#: timer the instrumented layer is built on.  Matched against normalised
+#: path suffixes.
 TIMING_EXEMPT_SUFFIXES = (
     "repro/utils/timer.py",
     "utils/timer.py",
-    "repro/lint/locktrace.py",
-    "lint/locktrace.py",
 )
 
 

@@ -32,8 +32,8 @@ _INFO_URI = "https://example.invalid/repro/docs/static_analysis.md"
 def _rule_anchor(rule) -> str:
     """GitHub heading anchor for the rule's catalogue entry.
 
-    ``docs/static_analysis.md`` titles every rule ``### R301 —
-    `hot-loop-allocation```; GitHub slugs that to ``r301--hot-loop-allocation``
+    ``docs/static_analysis.md`` titles every rule ``### R202 —
+    `lock-order-inversion```; GitHub slugs that to ``r202--lock-order-inversion``
     (lowercase, punctuation dropped, spaces to dashes).
     """
     return f"{rule.rule_id.lower()}--{rule.name}"

@@ -2,7 +2,7 @@
 
 Instrumentation is compiled in everywhere but *recorded* only when
 enabled — via the ``REPRO_OBS=1`` environment variable (checked once at
-import, mirroring :mod:`repro.lint.contracts`) or programmatically:
+import, mirroring :mod:`repro.utils.contracts`) or programmatically:
 
     import repro.obs as obs
 
@@ -32,16 +32,9 @@ from typing import List, Optional, Tuple
 # here creates a lock: REPRO_DEBUG_LOCKS=1 then traces the registry's
 # per-family locks and the span recorder along with the serve layer.
 # With the flag unset this is a single env read and patches nothing.
-from repro.lint import locktrace as _locktrace
+from repro.obs import locktrace as _locktrace
 
 _locktrace.install_from_env()
-
-# Same early-install contract for the allocation sanitizer: with
-# REPRO_DEBUG_ALLOC=1 tracemalloc must be tracing before the hot sketch/
-# core modules run; unset, this is one env read.
-from repro.lint import alloctrace as _alloctrace
-
-_alloctrace.install_from_env()
 
 from repro.obs.export import from_jsonl, render_report, to_jsonl, to_prometheus  # noqa: E402
 from repro.obs.registry import (  # noqa: E402
@@ -210,7 +203,7 @@ from repro.obs import memprof, profile  # noqa: E402  (needs _SPANS)
 profile._bind(_SPANS.current_path, REGISTRY.enable)
 memprof._bind(_SPANS, REGISTRY.enable)
 
-# Environment opt-in, mirroring repro.lint.contracts: REPRO_OBS=1 in the
+# Environment opt-in, mirroring repro.utils.contracts: REPRO_OBS=1 in the
 # environment turns recording on for the whole process at import time;
 # REPRO_OBS_PROFILE=1 / REPRO_OBS_MEMPROF=1 additionally install the
 # wall-time / memory profilers (each implies REPRO_OBS).

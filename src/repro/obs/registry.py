@@ -1,6 +1,6 @@
 """The metric registry: counters, gauges, histograms and the on/off state.
 
-Design constraints (mirrors :mod:`repro.lint.contracts`):
+Design constraints (mirrors :mod:`repro.utils.contracts`):
 
 * **Near-zero cost when off.**  Every metric handle shares one
   :class:`ObsState` object with its registry; the disabled fast path of

@@ -29,11 +29,10 @@ from bisect import bisect_left, bisect_right
 from typing import Hashable, Iterable, Optional, Sequence
 
 import repro.obs as obs
-from repro.lint.alloctrace import hotpath
-from repro.lint.contracts import invariant, post_vhll_mutation
 from repro.obs import OBS_STATE as _OBS
 from repro.sketch.hashing import split_hash
 from repro.sketch.hll import estimate_from_cells
+from repro.utils.contracts import invariant, post_vhll_mutation
 from repro.utils.validation import (
     require_in_range,
     require_int,
@@ -141,7 +140,6 @@ class VersionedHLL:
         self.add_pair(cell, r, timestamp)
 
     @invariant(post_vhll_mutation)
-    @hotpath
     def add_pair(self, cell: int, r: int, timestamp: int) -> None:
         """Insert a raw ``(ρ=r, t=timestamp)`` pair into ``cell``.
 
@@ -153,7 +151,6 @@ class VersionedHLL:
         self._check_time(timestamp)
         self._insert_pair(cell, (timestamp, r))
 
-    # repro-lint: hotpath
     def _insert_pair(self, cell: int, pair: tuple[int, int]) -> None:
         """Splice ``pair = (t, ρ)`` into ``cell``; no argument validation.
 
@@ -200,7 +197,6 @@ class VersionedHLL:
                 _PAIRS_PRUNED.inc(j - i)
 
     @invariant(post_vhll_mutation)
-    @hotpath
     def merge(self, other: "VersionedHLL") -> None:
         """In-place union with ``other`` (no time constraint).
 
@@ -214,7 +210,6 @@ class VersionedHLL:
                 insert_pair(cell_index, pair)
 
     @invariant(post_vhll_mutation)
-    @hotpath
     def merge_within(self, other: "VersionedHLL", start_time: int, window: int) -> None:
         """Merge ``other`` keeping only pairs with ``t − start_time < window``.
 
@@ -268,7 +263,6 @@ class VersionedHLL:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @hotpath
     def effective_registers(
         self,
         min_time: Optional[int] = None,
@@ -284,7 +278,6 @@ class VersionedHLL:
         self.max_registers_into(registers, min_time, max_time)
         return registers
 
-    @hotpath
     def max_registers_into(
         self,
         registers: list[int],
@@ -357,7 +350,7 @@ class VersionedHLL:
     def copy(self) -> "VersionedHLL":
         """An independent deep copy (cell lists are not shared)."""
         clone = VersionedHLL(self._precision, self._salt)
-        clone._cells = {index: list(pairs) for index, pairs in self._cells.items()}  # repro-lint: disable=R301 (deliberate deep copy; cell lists must not be shared)
+        clone._cells = {index: list(pairs) for index, pairs in self._cells.items()}
         return clone
 
     # ------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 
 import repro
 from repro.core.summary import IRSSummary
-from repro.lint.contracts import (
+from repro.sketch.vhll import VersionedHLL
+from repro.utils.contracts import (
     CONTRACTS_ENV,
     ContractViolation,
     check_lambda_map,
@@ -23,7 +24,6 @@ from repro.lint.contracts import (
     contracts_enabled,
     invariant,
 )
-from repro.sketch.vhll import VersionedHLL
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -200,13 +200,6 @@ def test_invariant_is_identity_when_disabled():
 @needs_disabled
 def test_wired_methods_are_undecorated_when_disabled():
     from repro.core.exact import ExactIRS
-    from repro.lint.alloctrace import is_enabled as alloc_sanitizer_enabled
-
-    if alloc_sanitizer_enabled():
-        # The @hotpath allocation wrapper legitimately wraps these same
-        # methods when the sanitizer is on; only the contracts layer is
-        # asserted zero-cost here.
-        pytest.skip("suite is running with REPRO_DEBUG_ALLOC=1")
 
     assert not hasattr(IRSSummary.add, "__wrapped__")
     assert not hasattr(IRSSummary.merge_within, "__wrapped__")

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.lint import locktrace
+from repro.obs import locktrace
 
 #: Generous wall-clock bound — failure means starvation, not slowness.
 STARVATION_TIMEOUT = 15.0

@@ -8,7 +8,7 @@ both halves of the concurrency tooling:
 * the **runtime** half: with the lock sanitizer enabled
   (``REPRO_DEBUG_LOCKS=1`` / ``locktrace.enable()``), running
   ``forward()`` then ``backward()`` must record a lock-order cycle
-  (``tests/lint/test_locktrace.py``).
+  (``tests/obs/test_locktrace.py``).
 
 Construct :class:`Pair` *after* enabling the sanitizer so its locks are
 created by the patched factories.

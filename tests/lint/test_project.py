@@ -1,10 +1,8 @@
-"""Unit tests for the whole-program index (symbol tables, call graph)."""
+"""Unit tests for the whole-program index (symbol tables, call resolution)."""
 
 from __future__ import annotations
 
 import ast
-
-import pytest
 
 from repro.lint.engine import FileContext
 from repro.lint.project import (
@@ -104,23 +102,6 @@ class TestResolution:
     def test_unique_suffix_module_lookup(self):
         index = build_index()
         assert index.resolve_module("pkg.util") is index.resolve_module("util")
-
-
-class TestCallGraph:
-    def test_edges_cross_modules_and_methods(self):
-        graph = build_index().call_graph()
-        assert "pkg.util.helper" in graph["pkg.algo.run"]
-        assert "pkg.algo.Runner.step" in graph["pkg.algo.Runner.go"]
-        assert "pkg.algo.run" in graph["pkg.algo.Runner.step"]
-
-    def test_cls_call_resolves_to_init(self):
-        graph = build_index().call_graph()
-        assert "pkg.algo.Runner.__init__" in graph["pkg.algo.Runner.default"]
-
-    def test_builtin_calls_produce_no_edges(self):
-        sources = {"src/pkg/a.py": "def f(xs):\n    return len(sorted(xs))\n"}
-        graph = build_index(sources).call_graph()
-        assert graph["pkg.a.f"] == set()
 
 
 class TestBindArguments:

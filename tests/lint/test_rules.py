@@ -416,11 +416,6 @@ def test_rule_registry_is_complete():
         "R203",
         "R204",
         "R205",
-        "R301",
-        "R302",
-        "R303",
-        "R304",
-        "R305",
     ]
     assert isinstance(get_rule("R001"), NoWallClockOrUnseededRandom)
     assert isinstance(get_rule("R002"), ValidateAlgorithmParameters)

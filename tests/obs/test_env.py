@@ -51,6 +51,16 @@ def test_import_core_leaves_slo_unloaded():
     assert _run(None, code) == "[]"
 
 
+def test_import_core_and_obs_load_no_lint_module():
+    # The runtime layers (contracts, locktrace) live outside repro.lint,
+    # so the algorithm layer never pays for the static analyser.
+    code = (
+        "import sys, repro.core, repro.obs; "
+        "print([m for m in sys.modules if m.split('.')[:2] == ['repro', 'lint']])"
+    )
+    assert _run(None, code) == "[]"
+
+
 def test_slo_loads_on_first_attribute_access():
     code = (
         "import sys, repro.obs as obs; "

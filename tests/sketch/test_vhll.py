@@ -187,6 +187,11 @@ class TestEffectiveRegisters:
         sketch = VersionedHLL(precision=2)
         assert sketch.effective_registers() == [0, 0, 0, 0]
 
+    def test_max_registers_into_validates_the_accumulator_length(self):
+        sketch = VersionedHLL(precision=4)
+        with pytest.raises(ValueError, match="registers has length"):
+            sketch.max_registers_into([0] * 3)
+
 
 class TestMerge:
     def test_merge_unions_pairs(self):
