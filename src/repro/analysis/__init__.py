@@ -20,15 +20,11 @@ from repro.analysis.memory import (
     deep_size,
     megabytes,
 )
-from repro.analysis.plots import ascii_chart, series_from_rows
 from repro.analysis.metrics import (
-    SummaryStats,
     average_relative_error,
-    format_table,
     jaccard,
     relative_error,
     seed_overlap,
-    summarize,
 )
 
 __all__ = [
@@ -51,9 +47,4 @@ __all__ = [
     "average_relative_error",
     "seed_overlap",
     "jaccard",
-    "SummaryStats",
-    "summarize",
-    "format_table",
-    "ascii_chart",
-    "series_from_rows",
 ]

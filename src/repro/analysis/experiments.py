@@ -1,29 +1,37 @@
-"""The experiment harness — one function per paper table / figure.
+"""The experiment harness — one function per paper table / figure / ablation.
 
-Every function returns a list of plain dict rows (render with
-:func:`repro.analysis.metrics.format_table`), so the benchmark scripts under
-``benchmarks/`` are thin wrappers that choose sizes, call one function here
-and print the rows next to the paper's reported shape.
+Every function returns a list of plain dict rows.  ``repro xp run`` (see
+:mod:`repro.xp.runner`) calls them one matrix cell at a time and
+``repro xp report`` renders the persisted rows, so this module holds the
+computation and nothing else.
 
 Mapping to the paper (see DESIGN.md §4 for the full index):
 
-=====================  ====================================================
-function               reproduces
-=====================  ====================================================
-dataset_characteristics  Table 2 (dataset statistics)
-accuracy_experiment      Table 3 (avg relative IRS-size error vs β and ω)
-memory_experiment        Table 4 (memory at ω ∈ {1, 10, 20}%)
-runtime_experiment       Figure 3 (processing time vs ω)
-oracle_query_experiment  Figure 4 (oracle query time vs seed-set size)
-spread_comparison        Figure 5 (TCIC spread of each method's top-k)
-seed_overlap_experiment  Table 5 (common seeds across window lengths)
-seed_time_experiment     Table 6 (time to find the top-50 seeds)
-=====================  ====================================================
+=========================  ================================================
+function                   reproduces
+=========================  ================================================
+dataset_characteristics    Table 2 (dataset statistics)
+accuracy_experiment        Table 3 (avg relative IRS-size error vs β and ω)
+memory_experiment          Table 4 (memory at ω ∈ {1, 10, 20}%)
+runtime_experiment         Figure 3 (processing time vs ω)
+oracle_query_experiment    Figure 4 (oracle query time vs seed-set size)
+spread_comparison          Figure 5 (TCIC spread of each method's top-k)
+seed_overlap_experiment    Table 5 (common seeds across window lengths)
+seed_time_experiment       Table 6 (time to find the top-50 seeds)
+selector_ablation          A1 (greedy vs CELF vs top-|σ| seed selectors)
+vhll_list_ablation         A2 (vHLL version-list length vs Lemma 4)
+exact_vs_sketch_ablation   A3 (exact vs sketch index: time, memory)
+sketch_backend_ablation    A4 (vHLL vs versioned bottom-k accuracy)
+multiwindow_ablation       A5 (one multi-window build vs per-ω builds)
+tcic_judge_ablation        A6 (literal vs prose TCIC judge)
+cross_judge_experiment     Figure 5 seeds re-scored under the TCLT judge
+=========================  ================================================
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
+import math
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set
 
 import repro.obs as obs
 from repro.analysis.memory import accounted_bytes, megabytes
@@ -38,12 +46,15 @@ from repro.baselines.ic_greedy import ic_greedy_top_k
 from repro.baselines.pagerank import pagerank_top_k
 from repro.baselines.skim import skim_top_k
 from repro.core.approx import ApproxIRS
+from repro.core.approx_bottomk import BottomKIRS
 from repro.core.exact import ExactIRS
 from repro.core.interactions import InteractionLog
-from repro.core.maximization import greedy_top_k
+from repro.core.maximization import celf_top_k, greedy_top_k, top_k_by_influence
+from repro.core.multiwindow import MultiWindowIRS
 from repro.core.oracle import ApproxInfluenceOracle, ExactInfluenceOracle
 from repro.datasets.catalog import dataset_names, load_dataset
 from repro.simulation.spread import estimate_spread
+from repro.simulation.tclt import estimate_tclt_spread
 from repro.utils.rng import RngLike, resolve_rng, spawn_rng
 from repro.utils.timer import Timer
 from repro.utils.validation import require_type
@@ -64,6 +75,13 @@ __all__ = [
     "spread_comparison",
     "seed_overlap_experiment",
     "seed_time_experiment",
+    "selector_ablation",
+    "vhll_list_ablation",
+    "exact_vs_sketch_ablation",
+    "sketch_backend_ablation",
+    "multiwindow_ablation",
+    "tcic_judge_ablation",
+    "cross_judge_experiment",
 ]
 
 Node = Hashable
@@ -402,4 +420,229 @@ def seed_time_experiment(
                     )
             row[method] = timer.elapsed
         rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Ablations (beyond the paper; DESIGN.md §4 A1–A6)
+# ---------------------------------------------------------------------------
+class CountingOracle(ExactInfluenceOracle):
+    """The exact oracle, counting gain evaluations."""
+
+    def __init__(self, sets: Dict[Node, Set[Node]]) -> None:
+        super().__init__(sets)
+        self.gain_calls = 0
+
+    def gain(self, state: object, node: Node) -> float:
+        self.gain_calls += 1
+        return super().gain(state, node)
+
+
+def selector_ablation(
+    log: InteractionLog,
+    dataset: str = "",
+    k: int = 20,
+    window_percent: float = 10,
+) -> List[Dict[str, object]]:
+    """A1: greedy and CELF agree on spread; CELF needs far fewer gain
+    calls; top-|σ| is cheapest but loses coverage to overlap."""
+    require_type(log, "log", InteractionLog)
+    index = ExactIRS.from_log(log, log.window_from_percent(window_percent))
+    sets = {node: index.reachability_set(node) for node in index.nodes}
+    rows = []
+    for selector_name, selector in (
+        ("greedy", greedy_top_k),
+        ("celf", celf_top_k),
+        ("top-by-sigma", top_k_by_influence),
+    ):
+        oracle = CountingOracle(sets)
+        with Timer() as timer:
+            seeds = selector(oracle, k)
+        rows.append(
+            {
+                "dataset": dataset,
+                "selector": selector_name,
+                "oracle_spread": oracle.spread(seeds),
+                "gain_calls": oracle.gain_calls,
+                "seconds": timer.elapsed,
+            }
+        )
+    return rows
+
+
+def vhll_list_ablation(
+    log: InteractionLog,
+    dataset: str = "",
+    window_percents: Sequence[float] = (1, 10, 20),
+    precision: int = 9,
+) -> List[Dict[str, object]]:
+    """A2 (Lemma 4): the longest per-cell version list against the
+    3·ln(ω) + 3 envelope of its O(log ω) expectation bound."""
+    require_type(log, "log", InteractionLog)
+    rows = []
+    for percent in window_percents:
+        window = log.window_from_percent(percent)
+        index = ApproxIRS.from_log(log, window, precision=precision)
+        rows.append(
+            {
+                "dataset": dataset,
+                "window_pct": percent,
+                "max_cell_list": index.max_cell_length(),
+                "lemma4_bound": 3 * math.log(max(window, 2)) + 3,
+            }
+        )
+    return rows
+
+
+def exact_vs_sketch_ablation(
+    log: InteractionLog,
+    dataset: str = "",
+    window_percent: float = 20,
+    precision: int = 9,
+) -> List[Dict[str, object]]:
+    """A3, the §3.2 trade: the sketch costs more CPU in pure Python but
+    its memory is bounded by n·β, while the exact index grows with n²."""
+    require_type(log, "log", InteractionLog)
+    window = log.window_from_percent(window_percent)
+    with Timer() as exact_timer:
+        exact = ExactIRS.from_log(log, window)
+    with Timer() as sketch_timer:
+        sketch = ApproxIRS.from_log(log, window, precision=precision)
+    return [
+        {
+            "dataset": dataset,
+            "exact_s": exact_timer.elapsed,
+            "sketch_s": sketch_timer.elapsed,
+            "exact_mb": megabytes(accounted_bytes(exact)),
+            "sketch_mb": megabytes(accounted_bytes(sketch)),
+            "exact_entries": exact.entry_count(),
+            "sketch_entries": sketch.entry_count(),
+        }
+    ]
+
+
+def sketch_backend_ablation(
+    log: InteractionLog,
+    dataset: str = "",
+    window_percents: Sequence[float] = (1, 10),
+    precision: int = 9,
+    bottomk_k: int = 64,
+) -> List[Dict[str, object]]:
+    """A4: vHLL vs versioned bottom-k at matched stored-pair budgets.
+
+    Quantifies why the paper versions HyperLogLog: a bottom-k sketch's
+    eviction (by hash only) loses exactly the pairs stricter time filters
+    need, so its windowed-merge accuracy degrades where the vHLL's Pareto
+    lists do not.
+    """
+    require_type(log, "log", InteractionLog)
+    rows = []
+    for percent in window_percents:
+        window = log.window_from_percent(percent)
+        truth = ExactIRS.from_log(log, window).irs_sizes()
+        vhll = ApproxIRS.from_log(log, window, precision=precision)
+        bottomk = BottomKIRS.from_log(log, window, k=bottomk_k)
+        rows.append(
+            {
+                "dataset": dataset,
+                "window_pct": percent,
+                "vhll_err": average_relative_error(truth, vhll.irs_estimates()),
+                "bottomk_err": average_relative_error(truth, bottomk.irs_estimates()),
+                "vhll_pairs": vhll.entry_count(),
+                "bottomk_pairs": bottomk.entry_count(),
+            }
+        )
+    return rows
+
+
+def multiwindow_ablation(
+    log: InteractionLog,
+    dataset: str = "",
+    window_percents: Sequence[float] = (1, 5, 10, 20, 50),
+) -> List[Dict[str, object]]:
+    """A5: one MultiWindowIRS build vs one ExactIRS build per queried ω.
+
+    The multi-window index answers *every* ω; this quantifies its
+    overhead against the separate single-window builds it replaces.
+    """
+    require_type(log, "log", InteractionLog)
+    with Timer() as multi_timer:
+        multi = MultiWindowIRS.from_log(log)
+    with Timer() as repeated_timer:
+        for percent in window_percents:
+            ExactIRS.from_log(log, log.window_from_percent(percent))
+    return [
+        {
+            "dataset": dataset,
+            "multi_s": multi_timer.elapsed,
+            "repeated_exact_s": repeated_timer.elapsed,
+            "multi_entries": multi.entry_count(),
+            "max_frontier": multi.max_frontier_length(),
+        }
+    ]
+
+
+def tcic_judge_ablation(
+    log: InteractionLog,
+    dataset: str = "",
+    k: int = 10,
+    window_percent: float = 1,
+) -> List[Dict[str, object]]:
+    """A6: the literal Algorithm 1 (seed clock resets per interaction)
+    always spreads at least as far as the prose variant, often far more."""
+    require_type(log, "log", InteractionLog)
+    window = log.window_from_percent(window_percent)
+    seeds = sorted(log.nodes, key=repr)[:k]
+    literal = estimate_spread(log, seeds, window, 1.0, reset_seed_clock=True)
+    prose = estimate_spread(log, seeds, window, 1.0, reset_seed_clock=False)
+    return [
+        {
+            "dataset": dataset,
+            "literal_spread": literal.mean,
+            "prose_spread": prose.mean,
+        }
+    ]
+
+
+CROSS_JUDGE_METHODS = ("PR", "HD", "SHD", "IRS", "IRS-approx")
+"""The methods whose top-k seeds the cross-judge check re-scores."""
+
+
+def cross_judge_experiment(
+    log: InteractionLog,
+    dataset: str = "",
+    methods: Sequence[str] = CROSS_JUDGE_METHODS,
+    k: int = 30,
+    window_percent: float = 1,
+    precision: int = 9,
+    tclt_runs: int = 3,
+    rng: RngLike = 0,
+) -> List[Dict[str, object]]:
+    """Figure 5's seeds scored by both the TCIC and the TCLT judge.
+
+    The paper scores every method under its own TCIC model.  Re-scoring
+    the same seed sets under the structurally different Time-Constrained
+    Linear Threshold judge (:mod:`repro.simulation.tclt`) tests whether
+    the IRS advantage is a property of the seeds or of the judge.  Every
+    method's TCLT score uses the same threshold draws.
+    """
+    require_type(log, "log", InteractionLog)
+    generator = resolve_rng(rng)
+    tclt_seed = generator.getrandbits(64)
+    window = log.window_from_percent(window_percent)
+    rows = []
+    for stream, method in enumerate(methods):
+        seeds = select_seeds(
+            log, method, k, window, precision=precision, rng=spawn_rng(generator, stream)
+        )
+        rows.append(
+            {
+                "dataset": dataset,
+                "method": method,
+                "tcic_spread": estimate_spread(log, seeds, window, 1.0).mean,
+                "tclt_spread": estimate_tclt_spread(
+                    log, seeds, window, runs=tclt_runs, rng=tclt_seed
+                ),
+            }
+        )
     return rows

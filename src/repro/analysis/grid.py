@@ -2,20 +2,13 @@
 
 Every figure/table sweeps some subset of the same five axes — dataset,
 window length ω, sketch precision (β = 2^precision), seed-selection
-method, rng seed.  Until this module existed each ``benchmarks/bench_*``
-script carried its own copy of the relevant tuples, so the grids could
-(and did threaten to) drift apart.  This is now the single definition,
-consumed by
-
-* the benchmark scripts under ``benchmarks/`` (one import each), and
-* the default experiment-matrix spec (:func:`repro.xp.spec.paper_spec`),
-
-so "the grid the benches run" and "the grid the orchestrator declares"
-are the same object.
+method, rng seed.  The experiment registry and the ``paper`` matrix
+(:mod:`repro.xp.spec`) read their defaults from here, and the tests
+that pin the grid import the same names.
 
 Values mirror the paper exactly where feasible and the documented
 reductions otherwise (see DESIGN.md §2 and EXPERIMENTS.md): e.g.
-``SPREAD_KS`` is the bench-budget subset of Figure 5's k ∈ {5..50}.
+``SPREAD_KS`` is a reduced subset of Figure 5's k ∈ {5..50}.
 """
 
 from __future__ import annotations
@@ -61,7 +54,7 @@ SEED_COUNTS = (10, 100, 1_000, 5_000, 10_000)
 #: Figure 4 fixes the window at 20 % while sweeping the seed count.
 QUERY_WINDOW_PERCENT = 20
 
-#: Figure 5's seed-set sizes, reduced to the bench budget (paper: 5..50
+#: Figure 5's seed-set sizes, reduced to a pure-Python budget (paper: 5..50
 #: in steps of 5; prefixes of one nested greedy list either way).
 SPREAD_KS = (5, 15, 30, 50)
 

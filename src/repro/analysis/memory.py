@@ -18,11 +18,10 @@ Table 4 demonstrates.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Set
+from typing import Set
 
 from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
-from repro.utils.validation import require_type
 
 __all__ = [
     "EXACT_ENTRY_BYTES",

@@ -1,24 +1,19 @@
 """Metrics shared by the experiment harness and the test-suite.
 
 Small, dependency-free implementations of the quantities the paper reports:
-average relative estimation error (Table 3), seed-set overlap counts
-(Table 5), and generic summary statistics for timing/spread series.
+average relative estimation error (Table 3) and seed-set overlap counts
+(Table 5).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 __all__ = [
     "relative_error",
     "average_relative_error",
     "seed_overlap",
     "jaccard",
-    "SummaryStats",
-    "summarize",
-    "format_table",
 ]
 
 Node = Hashable
@@ -63,58 +58,3 @@ def jaccard(first: Iterable[Node], second: Iterable[Node]) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / len(a | b)
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Mean / std / extremes of a numeric series."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-
-def summarize(values: Sequence[float]) -> SummaryStats:
-    """Summary statistics of ``values`` (sample standard deviation)."""
-    if not values:
-        raise ValueError("values must not be empty")
-    n = len(values)
-    mean = sum(values) / n
-    if n > 1:
-        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-        std = math.sqrt(variance)
-    else:
-        std = 0.0
-    return SummaryStats(
-        count=n, mean=mean, std=std, minimum=min(values), maximum=max(values)
-    )
-
-
-def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
-    """Render dict rows as a fixed-width text table (benchmark output)."""
-    if not rows:
-        return f"{title}\n(no rows)" if title else "(no rows)"
-    columns = list(rows[0])
-    widths = {
-        column: max(len(str(column)), *(len(_fmt(row.get(column))) for row in rows))
-        for column in columns
-    }
-    lines = []
-    if title:
-        lines.append(title)
-    header = "  ".join(str(column).ljust(widths[column]) for column in columns)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in rows:
-        lines.append(
-            "  ".join(_fmt(row.get(column)).ljust(widths[column]) for column in columns)
-        )
-    return "\n".join(lines)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)

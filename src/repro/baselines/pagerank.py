@@ -13,7 +13,7 @@ keep the scores a proper distribution.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
 from repro.baselines.static import StaticGraph, flatten
 from repro.core.interactions import InteractionLog

@@ -23,7 +23,6 @@ from typing import (
     Iterator,
     NamedTuple,
     Optional,
-    Sequence,
     Union,
 )
 

@@ -24,9 +24,8 @@ Three shapes are provided: :func:`email_network` (Enron/Lkml/Facebook-like),
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.interactions import Interaction, InteractionLog
 from repro.utils.rng import RngLike, resolve_rng

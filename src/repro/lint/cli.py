@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         dest="reference_roots",
         help="extra directory whose identifiers count as references for "
-        "liveness rules (default: auto-detect tests/benchmarks/examples "
+        "liveness rules (default: auto-detect tests/examples "
         "next to the linted src tree); may be repeated",
     )
     parser.add_argument(

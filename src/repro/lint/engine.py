@@ -66,7 +66,7 @@ KNOWN_SUBPACKAGES = frozenset(
 
 #: Directories next to ``src`` whose identifiers count as external
 #: references for liveness rules (R104).
-REFERENCE_ROOT_NAMES = ("tests", "benchmarks", "examples")
+REFERENCE_ROOT_NAMES = ("tests", "examples")
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
 
@@ -188,7 +188,7 @@ class LintEngine:
     reference_roots:
         Directories whose identifiers count as external references for
         liveness rules.  ``None`` (default) auto-detects ``tests``/
-        ``benchmarks``/``examples`` next to the linted tree's ``src``;
+        ``examples`` next to the linted tree's ``src``;
         pass an explicit (possibly empty) sequence to override.
     """
 
@@ -352,7 +352,7 @@ def lint_project_sources(
     ``sources`` maps relative paths (``"pkg/a.py"``; a ``src/repro/...``
     prefix opts into sub-package scoping) to source text.  File rules run
     per module, then project rules over the combined index;
-    ``external_identifiers`` plays the role of tests/benchmarks
+    ``external_identifiers`` plays the role of tests/examples
     references for R104.
     """
     engine = LintEngine(rules)

@@ -253,8 +253,8 @@ class ProjectIndex:
 
     def __init__(self, external_identifiers: Optional[Set[str]] = None) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        #: Identifiers referenced outside ``src`` (tests, benchmarks,
-        #: examples) — external liveness roots for R104.
+        #: Identifiers referenced outside ``src`` (tests, examples) —
+        #: external liveness roots for R104.
         self.external_identifiers: Set[str] = set(external_identifiers or ())
 
     # ------------------------------------------------------------------
@@ -537,8 +537,8 @@ def bind_arguments(fn: FunctionInfo, call: ast.Call) -> Optional[Dict[str, ast.A
 def collect_reference_identifiers(roots: Iterable[Path]) -> Set[str]:
     """Identifiers used anywhere under external reference roots.
 
-    Feeds R104's liveness: a public export referenced from ``tests/``,
-    ``benchmarks/`` or ``examples/`` is alive even when no ``src`` module
+    Feeds R104's liveness: a public export referenced from ``tests/`` or
+    ``examples/`` is alive even when no ``src`` module
     imports it.  Unparsable files are skipped — reference roots must
     never turn a lint run into a hard failure.
     """

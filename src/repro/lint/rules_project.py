@@ -39,7 +39,6 @@ import re
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.project import (
-    BUILTIN_NAMES,
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
@@ -563,7 +562,7 @@ class DeadExports(ProjectRule):
                         module,
                         node,
                         f"public export {name!r} is never referenced outside its "
-                        "defining module (src, tests, benchmarks and examples "
+                        "defining module (src, tests and examples "
                         "checked); drop it from __all__ or add a caller/test",
                     )
                 )

@@ -27,7 +27,7 @@ assert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Set, Tuple
+from typing import Dict, Hashable, Iterable, Set
 
 import repro.obs as obs
 from repro.core.interactions import InteractionLog

@@ -22,7 +22,7 @@ seed-set union (§4.1 of the paper).
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator
 
 from repro.sketch.hashing import split_hash
 from repro.utils.validation import require_in_range, require_int, require_type

@@ -10,7 +10,7 @@ reproducible bit-for-bit given a seed.
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import Union
 
 __all__ = ["resolve_rng", "spawn_rng"]
 

@@ -217,14 +217,16 @@ def build_sections(
                     if better:
                         best_values[panel] = (median, values)
 
+        # With a method axis every metric's block ends in its own
+        # "vs best" column: each metric ranks the panel separately.
+        metric_columns = ("IQR", "CI95", "n") + (("vs best",) if has_methods else ())
         headers = tuple(
             identity_columns
             + [
                 column
                 for metric, _ in definition.metrics
-                for column in (f"{metric} (median)", "IQR", "CI95", "n")
+                for column in (f"{metric} (median)",) + metric_columns
             ]
-            + (["vs best"] if has_methods else [])
         )
         rows = []
         replicated = False
@@ -232,11 +234,10 @@ def build_sections(
             cells: List[str] = [
                 _fmt(dict(group.identity).get(c)) for c in identity_columns
             ]
-            annotation = ""
             for (metric, direction) in definition.metrics:
                 values = group.metrics.get(metric, [])
                 if not values:
-                    cells += ["-", "-", "-", "0"]
+                    cells += ["-", "-", "-", "0"] + ([""] if has_methods else [])
                     continue
                 stats = quartiles(values)
                 if len(values) > 1:
@@ -252,6 +253,7 @@ def build_sections(
                     str(len(values)),
                 ]
                 if has_methods:
+                    annotation = ""
                     panel = _panel_key(group, metric)
                     best = best_values.get(panel)
                     if best is not None:
@@ -261,8 +263,7 @@ def build_sections(
                             test = mann_whitney_u(best[1], values)
                             marker = significance_marker(test.p_value)
                             annotation = f"p={test.p_value:.3f}{(' ' + marker) if marker else ''}"
-            if has_methods:
-                cells.append(annotation)
+                    cells.append(annotation)
             rows.append(tuple(cells))
         note = (
             f"significance: Mann-Whitney U vs the best method per panel, "

@@ -12,13 +12,13 @@ Observability: with ``capture_obs`` (the default for sequential runs)
 each cell executes under an enabled :mod:`repro.obs` registry that is
 reset around the cell, so the cell document carries exactly the
 counters/spans its own computation produced — the same numbers a
-``REPRO_OBS=1`` run of the equivalent benchmark would show.  Parallel
+``REPRO_OBS=1`` run of the same computation would show.  Parallel
 runs skip per-cell capture (the registry is process-global; concurrent
 cells would bleed into each other) and record ``obs: null``.
 
 Dataset generation is memoised per ``(name, rng, scale)`` so a matrix
 sweeping windows/methods/seeds over the same dataset pays generation
-once, exactly like the session-scoped fixtures under ``benchmarks/``.
+once.
 """
 
 from __future__ import annotations
@@ -31,19 +31,26 @@ from typing import Callable, Dict, List, Optional, Tuple
 import repro.obs as obs
 from repro.analysis.experiments import (
     accuracy_experiment,
+    cross_judge_experiment,
     dataset_characteristics,
+    exact_vs_sketch_ablation,
     memory_experiment,
+    multiwindow_ablation,
     oracle_query_experiment,
     runtime_experiment,
     seed_overlap_experiment,
     select_seeds,
+    selector_ablation,
+    sketch_backend_ablation,
     spread_comparison,
+    tcic_judge_ablation,
+    vhll_list_ablation,
 )
 from repro.core.interactions import InteractionLog
 from repro.datasets.catalog import load_dataset
 from repro.utils.provenance import code_fingerprint
 from repro.utils.timer import Timer
-from repro.xp.spec import Cell, MatrixSpec
+from repro.xp.spec import EXPERIMENTS, Cell, MatrixSpec
 from repro.xp.store import ResultStore, cell_result_document
 
 __all__ = ["RunSummary", "run_matrix", "execute_cell"]
@@ -75,6 +82,13 @@ def _dataset(cell: Cell) -> InteractionLog:
 # experiment's ExperimentDef (cell identity lives in the params, not in
 # the rows).
 
+def _declared(cell: Cell, rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """Keep only the group and metric columns ``cell``'s experiment declares."""
+    definition = EXPERIMENTS[cell.experiment]
+    columns = list(definition.group_columns) + [metric for metric, _ in definition.metrics]
+    return [{column: row[column] for column in columns} for row in rows]
+
+
 def _run_datasets(cell: Cell) -> List[Dict[str, object]]:
     rows = dataset_characteristics([cell.dataset], rng=cell.dataset_rng, scale=cell.scale)
     return [
@@ -92,7 +106,7 @@ def _run_accuracy(cell: Cell) -> List[Dict[str, object]]:
         window_percents=(cell.window_pct,),  # type: ignore[arg-type]
         salt=cell.seed or 0,
     )
-    return [{"beta": row["beta"], "avg_rel_error": row["avg_rel_error"]} for row in rows]
+    return _declared(cell, rows)
 
 
 def _run_memory(cell: Cell) -> List[Dict[str, object]]:
@@ -112,7 +126,7 @@ def _run_runtime(cell: Cell) -> List[Dict[str, object]]:
         window_percents=(cell.window_pct,),  # type: ignore[arg-type]
         precision=cell.precision,  # type: ignore[arg-type]
     )
-    return [{"seconds": row["seconds"]} for row in rows]
+    return _declared(cell, rows)
 
 
 def _run_query(cell: Cell) -> List[Dict[str, object]]:
@@ -126,9 +140,7 @@ def _run_query(cell: Cell) -> List[Dict[str, object]]:
         repetitions=int(extra["repetitions"]),  # type: ignore[arg-type]
         rng=cell.seed or 0,
     )
-    return [
-        {"num_seeds": row["num_seeds"], "milliseconds": row["milliseconds"]} for row in rows
-    ]
+    return _declared(cell, rows)
 
 
 def _run_spread(cell: Cell) -> List[Dict[str, object]]:
@@ -144,10 +156,7 @@ def _run_spread(cell: Cell) -> List[Dict[str, object]]:
         precision=cell.precision,  # type: ignore[arg-type]
         rng=cell.seed or 0,
     )
-    return [
-        {"k": row["k"], "probability": row["probability"], "spread": row["spread"]}
-        for row in rows
-    ]
+    return _declared(cell, rows)
 
 
 def _run_overlap(cell: Cell) -> List[Dict[str, object]]:
@@ -189,6 +198,64 @@ def _run_seed_time(cell: Cell) -> List[Dict[str, object]]:
     return [{"seconds": timer.elapsed}]
 
 
+def _run_selectors(cell: Cell) -> List[Dict[str, object]]:
+    rows = selector_ablation(
+        _dataset(cell),
+        window_percent=cell.window_pct,  # type: ignore[arg-type]
+    )
+    return _declared(cell, rows)
+
+
+def _run_vhll_lists(cell: Cell) -> List[Dict[str, object]]:
+    rows = vhll_list_ablation(
+        _dataset(cell),
+        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
+        precision=cell.precision,  # type: ignore[arg-type]
+    )
+    return _declared(cell, rows)
+
+
+def _run_exact_vs_sketch(cell: Cell) -> List[Dict[str, object]]:
+    rows = exact_vs_sketch_ablation(
+        _dataset(cell),
+        window_percent=cell.window_pct,  # type: ignore[arg-type]
+        precision=cell.precision,  # type: ignore[arg-type]
+    )
+    return _declared(cell, rows)
+
+
+def _run_sketch_backends(cell: Cell) -> List[Dict[str, object]]:
+    rows = sketch_backend_ablation(
+        _dataset(cell),
+        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
+        precision=cell.precision,  # type: ignore[arg-type]
+    )
+    return _declared(cell, rows)
+
+
+def _run_multiwindow(cell: Cell) -> List[Dict[str, object]]:
+    return _declared(cell, multiwindow_ablation(_dataset(cell)))
+
+
+def _run_tcic_judges(cell: Cell) -> List[Dict[str, object]]:
+    rows = tcic_judge_ablation(
+        _dataset(cell),
+        window_percent=cell.window_pct,  # type: ignore[arg-type]
+    )
+    return _declared(cell, rows)
+
+
+def _run_cross_judge(cell: Cell) -> List[Dict[str, object]]:
+    rows = cross_judge_experiment(
+        _dataset(cell),
+        methods=(cell.method,),  # type: ignore[arg-type]
+        window_percent=cell.window_pct,  # type: ignore[arg-type]
+        precision=cell.precision,  # type: ignore[arg-type]
+        rng=cell.seed or 0,
+    )
+    return _declared(cell, rows)
+
+
 _ADAPTERS: Dict[str, Callable[[Cell], List[Dict[str, object]]]] = {
     "datasets": _run_datasets,
     "accuracy": _run_accuracy,
@@ -198,6 +265,13 @@ _ADAPTERS: Dict[str, Callable[[Cell], List[Dict[str, object]]]] = {
     "spread": _run_spread,
     "overlap": _run_overlap,
     "seed_time": _run_seed_time,
+    "selectors": _run_selectors,
+    "vhll_lists": _run_vhll_lists,
+    "exact_vs_sketch": _run_exact_vs_sketch,
+    "sketch_backends": _run_sketch_backends,
+    "multiwindow": _run_multiwindow,
+    "tcic_judges": _run_tcic_judges,
+    "cross_judge": _run_cross_judge,
 }
 
 

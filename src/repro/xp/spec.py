@@ -26,7 +26,8 @@ grids drift).  Missing applicable axes fall back to the canonical paper
 grid (:mod:`repro.analysis.grid`).
 
 Specs load from JSON or TOML files (suffix-dispatch) or by built-in
-name: ``paper`` (the full Table 2–6 / Figure 3–5 matrix) and ``smoke``
+name: ``paper`` (the full Table 2–6 / Figure 3–5 matrix, the A1–A6
+ablations and the cross-judge check) and ``smoke``
 (a minutes-scale matrix used by CI and the committed ``XP_9`` baseline).
 """
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import grid
-from repro.analysis.experiments import ALL_METHODS, EXTRA_METHODS
+from repro.analysis.experiments import ALL_METHODS, CROSS_JUDGE_METHODS, EXTRA_METHODS
 from repro.datasets.catalog import dataset_names
 
 __all__ = [
@@ -179,6 +180,84 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
             default_datasets=grid.SMALL_DATASETS,
             default_methods=tuple(grid.SEED_TIME_METHODS),
             default_params={"k": grid.SEED_TIME_K},
+        ),
+        ExperimentDef(
+            name="selectors",
+            artifact="Ablation A1",
+            axes=("window_pct", "seed"),
+            metrics=(
+                ("oracle_spread", "higher"),
+                ("gain_calls", "lower"),
+                ("seconds", "lower"),
+            ),
+            group_columns=("selector",),
+            default_datasets=("slashdot-sim", "facebook-sim"),
+        ),
+        ExperimentDef(
+            name="vhll_lists",
+            artifact="Ablation A2",
+            axes=("window_pct", "precision"),
+            metrics=(("max_cell_list", "lower"),),
+            group_columns=("lemma4_bound",),
+            default_datasets=grid.SMALL_DATASETS,
+        ),
+        ExperimentDef(
+            name="exact_vs_sketch",
+            artifact="Ablation A3",
+            axes=("window_pct", "precision", "seed"),
+            metrics=(
+                ("exact_s", "lower"),
+                ("sketch_s", "lower"),
+                ("exact_mb", "lower"),
+                ("sketch_mb", "lower"),
+                ("exact_entries", "lower"),
+                ("sketch_entries", "lower"),
+            ),
+            group_columns=(),
+            default_datasets=grid.SMALL_DATASETS,
+        ),
+        ExperimentDef(
+            name="sketch_backends",
+            artifact="Ablation A4",
+            axes=("window_pct", "precision"),
+            metrics=(
+                ("vhll_err", "lower"),
+                ("bottomk_err", "lower"),
+                ("vhll_pairs", "lower"),
+                ("bottomk_pairs", "lower"),
+            ),
+            group_columns=(),
+            default_datasets=("lkml-sim", "slashdot-sim", "facebook-sim"),
+        ),
+        ExperimentDef(
+            name="multiwindow",
+            artifact="Ablation A5",
+            axes=("seed",),
+            metrics=(
+                ("multi_s", "lower"),
+                ("repeated_exact_s", "lower"),
+                ("multi_entries", "lower"),
+                ("max_frontier", "lower"),
+            ),
+            group_columns=(),
+            default_datasets=("slashdot-sim", "lkml-sim"),
+        ),
+        ExperimentDef(
+            name="tcic_judges",
+            artifact="Ablation A6",
+            axes=("window_pct",),
+            metrics=(("literal_spread", "higher"), ("prose_spread", "higher")),
+            group_columns=(),
+            default_datasets=("lkml-sim", "slashdot-sim"),
+        ),
+        ExperimentDef(
+            name="cross_judge",
+            artifact="Cross-judge (TCIC vs TCLT)",
+            axes=("window_pct", "precision", "method", "seed"),
+            metrics=(("tcic_spread", "higher"), ("tclt_spread", "higher")),
+            group_columns=(),
+            default_datasets=("enron-sim", "facebook-sim"),
+            default_methods=CROSS_JUDGE_METHODS,
         ),
     )
 }
@@ -517,7 +596,8 @@ def spec_from_dict(raw: Mapping[str, object]) -> MatrixSpec:
 
 
 def paper_spec(scale: float = 1.0, seeds: Sequence[int] = (0, 1, 2)) -> MatrixSpec:
-    """The full paper matrix (Tables 2–6, Figures 3–5) on the shared grid.
+    """The full paper matrix (Tables 2–6, Figures 3–5) on the shared grid,
+    plus the A1–A6 ablations and the cross-judge check.
 
     ``seeds`` controls the replicate count of every experiment with a
     seed axis — three replicates is the floor for the rank-based
@@ -567,6 +647,35 @@ def paper_spec(scale: float = 1.0, seeds: Sequence[int] = (0, 1, 2)) -> MatrixSp
                     "window_percents": [grid.SEED_TIME_WINDOW_PERCENT],
                     "precisions": [grid.DEFAULT_PRECISION],
                     "methods": list(grid.SEED_TIME_METHODS),
+                    "seeds": seed_list,
+                },
+                {
+                    "experiment": "selectors",
+                    "window_percents": [10],
+                    "seeds": seed_list,
+                },
+                {
+                    "experiment": "vhll_lists",
+                    "window_percents": list(grid.WINDOW_PERCENTS),
+                    "precisions": [grid.DEFAULT_PRECISION],
+                },
+                {
+                    "experiment": "exact_vs_sketch",
+                    "window_percents": [20],
+                    "precisions": [grid.DEFAULT_PRECISION],
+                    "seeds": seed_list,
+                },
+                {
+                    "experiment": "sketch_backends",
+                    "window_percents": [1, 10],
+                    "precisions": [grid.DEFAULT_PRECISION],
+                },
+                {"experiment": "multiwindow", "seeds": seed_list},
+                {"experiment": "tcic_judges", "window_percents": [1]},
+                {
+                    "experiment": "cross_judge",
+                    "window_percents": [1],
+                    "precisions": [grid.DEFAULT_PRECISION],
                     "seeds": seed_list,
                 },
             ],

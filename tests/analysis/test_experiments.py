@@ -1,8 +1,8 @@
 """Unit tests for the experiment harness (one per paper table/figure).
 
 Each harness function is exercised on tiny data: the goal here is row
-structure, determinism and basic sanity; the shape-level reproduction runs
-in benchmarks/.
+structure, determinism and basic sanity; the paper's shapes are asserted
+over a whole ``paper`` matrix run in tests/xp/test_paper_shape.py.
 """
 
 import pytest

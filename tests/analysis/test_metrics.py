@@ -3,13 +3,10 @@
 import pytest
 
 from repro.analysis.metrics import (
-    SummaryStats,
     average_relative_error,
-    format_table,
     jaccard,
     relative_error,
     seed_overlap,
-    summarize,
 )
 
 
@@ -66,40 +63,3 @@ class TestJaccard:
 
     def test_partial(self):
         assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
-
-
-class TestSummarize:
-    def test_basic_stats(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert isinstance(stats, SummaryStats)
-        assert stats.count == 3
-        assert stats.mean == 2.0
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-        assert stats.std == pytest.approx(1.0)
-
-    def test_single_value(self):
-        stats = summarize([5.0])
-        assert stats.std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
-class TestFormatTable:
-    def test_renders_columns(self):
-        rows = [{"name": "x", "value": 1.23456}, {"name": "longer", "value": 2}]
-        rendered = format_table(rows, title="T")
-        lines = rendered.splitlines()
-        assert lines[0] == "T"
-        assert "name" in lines[1] and "value" in lines[1]
-        assert "longer" in rendered
-        assert "1.235" in rendered  # 4 significant digits
-
-    def test_empty_rows(self):
-        assert "(no rows)" in format_table([], title="T")
-
-    def test_missing_cell_rendered_as_none(self):
-        rows = [{"a": 1, "b": 2}, {"a": 3}]
-        assert "None" in format_table(rows)

@@ -7,7 +7,7 @@ coverage ratios, rank correlations, and dispatcher completeness.
 
 import pytest
 
-from repro.analysis.experiments import ALL_METHODS, EXTRA_METHODS, select_seeds
+from repro.analysis.experiments import EXTRA_METHODS, select_seeds
 from repro.baselines.degree import degree_discount_top_k, high_degree_top_k
 from repro.baselines.pagerank import pagerank
 from repro.baselines.skim import skim_top_k

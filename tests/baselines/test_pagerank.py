@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.pagerank import pagerank, pagerank_top_k
-from repro.baselines.static import StaticGraph, flatten
+from repro.baselines.static import StaticGraph
 from repro.core.interactions import InteractionLog
 
 

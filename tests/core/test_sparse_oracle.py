@@ -61,7 +61,7 @@ class DenseReferenceOracle(InfluenceOracle):
 
 
 @st.composite
-def register_tables(draw):
+def register_maps(draw):
     m = draw(st.sampled_from([16, 64]))
     top = 64 - (m.bit_length() - 1)
     count = draw(st.integers(1, 12))
@@ -91,7 +91,7 @@ def _assert_agree(sparse, dense, nodes, rng, sets=40):
             assert sparse.gain(state, node) == dense.gain(reference, node)
 
 
-@given(register_tables(), st.integers(0, 2**16))
+@given(register_maps(), st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_sparse_oracle_matches_the_dense_reference(table_and_m, seed):
     table, m = table_and_m

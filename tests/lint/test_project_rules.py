@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.lint.engine import lint_project_sources, lint_source
 from repro.lint.rules import get_rule
 from repro.lint.rules_project import (

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 import repro.obs as obs
+from repro.ingest.live import LiveIndex
 from repro.serve.http import build_server, serve_until_shutdown
 from repro.serve.loadgen import (
     HttpClient,
@@ -126,6 +127,20 @@ class TestAcceptanceRun:
         rendered = obs.render_report(obs.snapshot())
         assert "serve.request_seconds" in rendered
         assert "serve.cache_hits" in rendered
+
+
+    def test_reads_beside_ingest_batches(self, exact_oracle):
+        """A fifth of the requests are write batches to a live index
+        sharing the worker pool: every write lands and no read fails."""
+        live = LiveIndex(window=10_000, decay_window=50_000)
+        client = ServiceClient(OracleService(exact_oracle, cache_size=256), live=live)
+        nodes = sorted(exact_oracle.nodes())
+        workload = synth_workload(nodes, 400, rng=29, ingest_fraction=0.2)
+        report = run_loadgen(client, workload, threads=4)
+        assert report.errors == 0
+        assert report.requests == 400
+        assert report.per_endpoint.get("ingest", 0) > 0
+        assert live.stats()["events_applied"] > 0
 
 
 class TestHttpModeAndMain:

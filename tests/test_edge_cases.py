@@ -9,7 +9,7 @@ import pytest
 from repro.core.approx import ApproxIRS
 from repro.core.channels import all_reachability_summaries
 from repro.core.exact import ExactIRS
-from repro.core.interactions import Interaction, InteractionLog
+from repro.core.interactions import InteractionLog
 from repro.core.maximization import greedy_top_k
 from repro.core.oracle import ApproxInfluenceOracle, ExactInfluenceOracle
 from repro.simulation.tcic import run_tcic

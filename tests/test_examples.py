@@ -2,7 +2,7 @@
 
 Every example must at least compile against the current API; the quick one
 is executed end-to-end.  (The larger scenarios run for tens of seconds and
-are exercised manually / by the benchmarks instead.)
+are exercised manually instead.)
 """
 
 import os

@@ -15,7 +15,6 @@ output (none, or a predictable one) and checks the implementation agrees:
   maximum cannot *remove* anything from any IRS computed at unbounded ω.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.exact import ExactIRS

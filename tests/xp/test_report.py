@@ -116,6 +116,45 @@ class TestBuildSections:
         assert by_method["IRS-approx"] == "best"
         assert by_method["HD"].startswith("p=")
 
+    def test_each_metric_ranks_its_own_panel(self, tmp_path):
+        # HD wins on TCIC, IRS on TCLT: each metric gets its own mark.
+        spec = spec_from_dict(
+            {
+                "name": "judges",
+                "blocks": [
+                    {
+                        "experiment": "cross_judge",
+                        "datasets": ["enron-sim"],
+                        "window_percents": [1],
+                        "precisions": [7],
+                        "methods": ["HD", "IRS"],
+                        "seeds": [1, 2, 3],
+                    }
+                ],
+            }
+        )
+        store = ResultStore(str(tmp_path / "run"), create=True)
+        for cell in spec.cells():
+            tcic, tclt = (20.0, 5.0) if cell.method == "HD" else (10.0, 9.0)
+            store.save(
+                cell_result_document(
+                    key=cell.key(),
+                    experiment=cell.experiment,
+                    params=cell.params(),
+                    rows=[{"tcic_spread": tcic + cell.seed, "tclt_spread": tclt + cell.seed}],
+                    duration_s=0.0,
+                )
+            )
+        (section,) = build_sections(store)
+        marks = [i for i, header in enumerate(section.headers) if header == "vs best"]
+        assert len(marks) == 2
+        by_method = {
+            row[section.headers.index("method")]: [row[i] for i in marks]
+            for row in section.rows
+        }
+        assert by_method["HD"][0] == "best" and by_method["HD"][1].startswith("p=")
+        assert by_method["IRS"][1] == "best" and by_method["IRS"][0].startswith("p=")
+
     def test_replicate_statistics_rendered(self, tmp_path):
         store = _write_spread_store(tmp_path / "run", _spread_spec())
         (section,) = build_sections(store)
