@@ -116,7 +116,7 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
             if seconds > 0:
                 _THROUGHPUT.labels(window=window).set(len(log) / seconds)
             observe = _CELL_LEN.labels(window=window).observe
-            for sketch in index._summaries.values():  # repro-lint: budget=O(n·β)
+            for sketch in index._summaries.values():  # O(n·β)
                 for length in sketch.cell_lengths():
                     if length:
                         observe(length)
@@ -131,7 +131,7 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
         """
         require_int(threshold, "threshold")
         evicted = 0
-        for sketch in self._summaries.values():  # repro-lint: budget=O(n·β) decay sweep, amortised by sweep_every
+        for sketch in self._summaries.values():  # O(n·β) decay sweep, amortised by sweep_every
             evicted += sketch.prune_newer_than(threshold)
         return evicted
 
@@ -240,7 +240,7 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
         bit for bit.
         """
         combined = [0] * self._num_cells
-        for seed in seeds:  # repro-lint: budget=O(Σ filled cells)
+        for seed in seeds:  # O(Σ filled cells)
             sketch = self._summaries.get(seed)
             if sketch is None:
                 continue

@@ -72,7 +72,7 @@ def reachability_summary(
     _validate(log, window)
     interactions = list(log)
     best: Dict[Node, int] = {}
-    for start_index, first in enumerate(interactions):  # repro-lint: budget=O(m²)
+    for start_index, first in enumerate(interactions):  # O(m²)
         if first.source != source:
             continue
         deadline = first.time + window - 1
@@ -197,7 +197,7 @@ def fastest_channel_duration(
     require_type(log, "log", InteractionLog)
     interactions = list(log)
     best: Optional[int] = None
-    for start_index, first in enumerate(interactions):  # repro-lint: budget=O(m²)
+    for start_index, first in enumerate(interactions):  # O(m²)
         if first.source != source:
             continue
         arrival: Dict[Node, int] = {first.target: first.time}

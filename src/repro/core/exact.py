@@ -105,7 +105,7 @@ class ExactIRS(ReverseScan[IRSSummary]):
         """
         require_int(threshold, "threshold")
         evicted: Dict[Node, int] = {}
-        for summary in self._summaries.values():  # repro-lint: budget=O(n·|σ|) decay sweep, amortised by sweep_every
+        for summary in self._summaries.values():  # O(n·|σ|) decay sweep, amortised by sweep_every
             summary.evict_ends_after_into(threshold, evicted)
         return evicted
 

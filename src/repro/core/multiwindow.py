@@ -198,7 +198,7 @@ class MultiWindowIRS(ReverseScan[Frontier]):
     def max_frontier_length(self) -> int:
         """Longest per-pair frontier."""
         longest = 0
-        for frontier in self._summaries.values():  # repro-lint: budget=O(n²·F)
+        for frontier in self._summaries.values():  # O(n²·F)
             for entries in frontier.values():
                 length = len(entries)
                 if length > longest:

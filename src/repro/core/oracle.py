@@ -254,7 +254,7 @@ class ApproxInfluenceOracle(InfluenceOracle):
         return oracle
 
     def _adopt(self, cells: Dict[Node, Dict[int, int]], num_cells: int) -> None:
-        for node, filled in cells.items():  # repro-lint: budget=O(Σ filled cells)
+        for node, filled in cells.items():  # O(Σ filled cells)
             for cell, value in filled.items():
                 if not 0 <= cell < num_cells:
                     raise ValueError(

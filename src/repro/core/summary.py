@@ -183,7 +183,7 @@ class IRSSummary:
         """Pointwise-minimum union of several summaries."""
         result = cls()
         add = result.add
-        for summary in summaries:  # repro-lint: budget=O(Σ|ϕ|)
+        for summary in summaries:  # O(Σ|ϕ|)
             require_type(summary, "summary", IRSSummary)
             for node, end_time in summary._entries.items():
                 add(node, end_time)

@@ -134,7 +134,7 @@ def fastest_path_durations(log: InteractionLog, source: Node) -> Dict[Node, int]
     require_type(log, "log", InteractionLog)
     interactions = list(log)
     best: Dict[Node, int] = {}
-    for index, first in enumerate(interactions):  # repro-lint: budget=O(m²)
+    for index, first in enumerate(interactions):  # O(m²)
         if first.source != source:
             continue
         arrival: Dict[Node, int] = {first.target: first.time}
@@ -167,7 +167,7 @@ def shortest_path_hops(log: InteractionLog, source: Node) -> Dict[Node, int]:
     # time strictly increasing, hops strictly decreasing.
     states: Dict[Node, list] = {source: [(-math.inf, 0)]}
     best: Dict[Node, int] = {}
-    for record in log:  # repro-lint: budget=O(m·P)
+    for record in log:  # O(m·P)
         frontier = states.get(record.source)
         if not frontier:
             continue

@@ -49,7 +49,7 @@ def find_channel(
     interactions = list(log)
     best: Optional[List[Interaction]] = None
     best_end: Optional[int] = None
-    for start_index, first in enumerate(interactions):  # repro-lint: budget=O(m²)
+    for start_index, first in enumerate(interactions):  # O(m²)
         if first.source != source:
             continue
         deadline = first.time + window - 1

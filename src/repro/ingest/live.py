@@ -348,7 +348,7 @@ class LiveIndex:
         else:
             # Future queries only ask windows starting at or after the
             # (monotone) horizon, so older sketch pairs are dead weight.
-            for sketch in self._sketches.values():  # repro-lint: budget=O(n·log W) decay sweep, amortised by sweep_every
+            for sketch in self._sketches.values():  # O(n·log W) decay sweep, amortised by sweep_every
                 sketch.prune(horizon)
         self._sweeps += 1
         self._evicted_total += evicted
@@ -373,7 +373,7 @@ class LiveIndex:
             # Between sweeps the counter may still include expired
             # channels; the authoritative answer filters by horizon.
             count = 0
-            for reached in self._nodes:  # repro-lint: budget=O(n) horizon-exact influence query
+            for reached in self._nodes:  # O(n) horizon-exact influence query
                 start = self._dual.latest_start(reached, node)
                 if start is not None and start >= horizon:
                     count += 1
@@ -406,7 +406,7 @@ class LiveIndex:
                     (node, self._influence_locked(node, horizon))
                     for node in self._sketches
                 )
-            # repro-lint: budget=O(n log k) — bounded-heap scan over influencers.
+            # O(n log k) — bounded-heap scan over influencers.
             ranked = heapq.nsmallest(
                 k,
                 ((value, repr(node), node) for node, value in candidates),
@@ -416,7 +416,7 @@ class LiveIndex:
 
     def _horizon_counts_locked(self, horizon: int) -> Iterable[Tuple[Node, float]]:
         counts: Dict[Node, int] = {}
-        for reached in self._nodes:  # repro-lint: budget=O(n·|σ_in|) horizon-exact topk scan
+        for reached in self._nodes:  # O(n·|σ_in|) horizon-exact topk scan
             for influencer, start in self._dual.iter_influencer_starts(reached):
                 if start >= horizon:
                     counts[influencer] = counts.get(influencer, 0) + 1
@@ -440,13 +440,13 @@ class LiveIndex:
             horizon = self._horizon_locked()
             if self._mode == "exact":
                 sets: Dict[Node, Set[Node]] = {node: set() for node in self._nodes}
-                for reached in self._nodes:  # repro-lint: budget=O(n·|σ_in|) oracle inversion
+                for reached in self._nodes:  # O(n·|σ_in|) oracle inversion
                     for influencer, start in self._dual.iter_influencer_starts(reached):
                         if horizon is None or start >= horizon:
                             sets.setdefault(influencer, set()).add(reached)
                 return ExactInfluenceOracle(sets)
             cells: Dict[Node, Dict[int, int]] = {}
-            for node in self._nodes:  # repro-lint: budget=O(Σ filled cells)
+            for node in self._nodes:  # O(Σ filled cells)
                 sketch = self._sketches.get(node)
                 cells[node] = {} if sketch is None else sketch.register_map(horizon)
             return ApproxInfluenceOracle.from_cells(cells, self._num_cells)
@@ -458,7 +458,7 @@ class LiveIndex:
             if self._mode == "exact":
                 covered: Set[Node] = set()
                 seed_set = set(seeds)
-                for reached in self._nodes:  # repro-lint: budget=O(n·|σ_in|) live spread scan
+                for reached in self._nodes:  # O(n·|σ_in|) live spread scan
                     for influencer, start in self._dual.iter_influencer_starts(reached):
                         if influencer in seed_set and (
                             horizon is None or start >= horizon
@@ -467,7 +467,7 @@ class LiveIndex:
                             break
                 return float(len(covered))
             combined: Dict[int, int] = {}
-            for seed in seeds:  # repro-lint: budget=O(Σ filled cells)
+            for seed in seeds:  # O(Σ filled cells)
                 sketch = self._sketches.get(seed)
                 if sketch is None:
                     continue

@@ -92,8 +92,8 @@ class SnapshotPublisher:
         self._interval = float(interval)
         self._min_events = min_events
         # Guards the publish bookkeeping below.  The snapshot write itself
-        # happens *outside* this lock (blocking I/O under a lock is a
-        # R203 violation); concurrent publish_once calls are instead
+        # happens *outside* this lock (blocking I/O under a lock stalls
+        # every reader); concurrent publish_once calls are instead
         # serialised by the ``_publishing`` in-flight flag.
         self._state_lock = threading.Lock()
         self._publishing = False  # repro-lint: guarded-by=_state_lock

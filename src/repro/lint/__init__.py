@@ -2,9 +2,10 @@
 
 A custom AST linter guards invariants the paper's correctness rests on
 but the Python type system never sees.  It runs per-file rules
-(R001–R007), whole-program rules over a cross-module index (R101–R106,
-:mod:`repro.lint.rules_project`) and lock-discipline rules over a
-per-class lock model (R201–R205, :mod:`repro.lint.concurrency`).  See
+(R001, R003, R004, R006), whole-program rules over a cross-module index
+(R101, R104, R106, :mod:`repro.lint.rules_project`) and lock-discipline
+rules over a per-class lock model (R201, R204, R205,
+:mod:`repro.lint.concurrency`).  See
 :mod:`repro.lint.rules` for the rule registry and
 ``docs/static_analysis.md`` for the rationale behind each rule.
 

@@ -1,13 +1,12 @@
-"""Concurrency lock model and rules R201–R205.
+"""Concurrency lock model and rules R201, R204 and R205.
 
 The serving layer made the reproduction genuinely concurrent — a
 ``ReadWriteLock``-guarded hot snapshot swap, a mutex-guarded LRU cache,
 ``ThreadingHTTPServer`` handler threads and per-family metric locks —
 and none of the value-oriented rules (R0xx/R1xx) can see a data race.
-This module adds the lock-discipline layer, in the engine's existing
-two-tier shape:
+This module adds the lock-discipline layer as file rules:
 
-* a **lock model** shared by all five rules: which ``self``-attributes
+* a **lock model** shared by the three rules: which ``self``-attributes
   of a class are locks (``threading.Lock``/``RLock``/``Condition`` or
   the serving layer's ``ReadWriteLock``), which ``with`` statements
   acquire them (``with self._lock:``, ``with self._rw.read():`` /
@@ -15,13 +14,12 @@ two-tier shape:
   including accesses in private helpers whose callers all hold a lock —
   and explicit ``# repro-lint: guarded-by=<lock_attr>`` field
   annotations on assignments in ``__init__`` or class-body annotations;
-* **file rules** (run per file, parallel-safe): **R201** guarded-field
-  discipline, **R204** non-atomic read-modify-write, **R205** escaping
-  lock-guarded mutable state;
-* **project rules** (run once over the :class:`ProjectIndex`): **R202**
-  lock-order inversion across the call graph (ABBA cycles), **R203**
-  blocking calls — I/O, ``time.sleep``, ``Thread.join``, snapshot
-  load/save — made (transitively) while a lock is held.
+* **R201** guarded-field discipline, **R204** non-atomic
+  read-modify-write, **R205** escaping lock-guarded mutable state.
+
+Lock-order cycles and long lock holds are checked at run time instead,
+by :mod:`repro.obs.locktrace` (``REPRO_DEBUG_LOCKS=1``); CI's
+``lock-stress`` job fails on either.
 
 Heuristics and escape hatches
 -----------------------------
@@ -32,15 +30,12 @@ The model is conservative in both directions where it must be:
 * a field initialised from a same-module class that owns locks of its
   own (``self._cache = SpreadCache(...)``) delegates its thread safety
   to that class and is exempt (the delegate's methods are analysed on
-  their own, and cross-object calls still feed R202/R203);
+  their own);
 * bodies of functions nested inside methods are skipped — a closure
   runs at an unknown time under unknown locks;
 * deliberate lock-free fast paths (double-checked locking, copy-on-
   write reads) are silenced per line with ``# repro-lint:
   disable=R201`` next to a comment explaining why they are safe.
-
-The runtime counterpart of this static pass is
-:mod:`repro.obs.locktrace` (``REPRO_DEBUG_LOCKS=1``).
 """
 
 from __future__ import annotations
@@ -48,16 +43,8 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-from weakref import WeakKeyDictionary
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.project import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    ProjectIndex,
-    annotation_class_name,
-)
 from repro.lint.rules import Rule, register
 
 __all__ = [
@@ -65,8 +52,6 @@ __all__ = [
     "ClassLockModel",
     "build_class_models",
     "GuardedFieldDiscipline",
-    "LockOrderInversion",
-    "BlockingCallUnderLock",
     "NonAtomicSharedUpdate",
     "EscapingGuardedState",
 ]
@@ -205,8 +190,9 @@ def _lock_expr_attr(expr: ast.AST, lock_attrs: Set[str]) -> Optional[str]:
     return None
 
 
-def _expr_dotted(node: ast.AST) -> Optional[str]:
+def _call_dotted(call: ast.Call) -> Optional[str]:
     parts: List[str] = []
+    node: ast.AST = call.func
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
         node = node.value
@@ -214,10 +200,6 @@ def _expr_dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _call_dotted(call: ast.Call) -> Optional[str]:
-    return _expr_dotted(call.func)
 
 
 def _is_lock_constructor(value: ast.AST) -> bool:
@@ -796,560 +778,3 @@ class EscapingGuardedState(Rule):
             for attr in guarded
             if attr in model.mutable_fields and attr not in model.delegate_fields
         }
-
-
-# ----------------------------------------------------------------------
-# Project-wide lock analysis (shared by R202 / R203)
-# ----------------------------------------------------------------------
-
-
-#: Dotted-name suffixes (after the last ``.``) of calls that block:
-#: sleeps, file/socket I/O, snapshot (de)serialisation, HTTP dispatch.
-BLOCKING_CALL_NAMES = frozenset(
-    {
-        "sleep",
-        "urlopen",
-        "open",
-        "read_text",
-        "write_text",
-        "read_bytes",
-        "write_bytes",
-        "load_oracle",
-        "save_oracle",
-        "serve_forever",
-        "handle_request",
-        "check_call",
-        "check_output",
-        "communicate",
-    }
-)
-
-
-@dataclass
-class _Acquire:
-    key: str
-    held: FrozenSet[str]
-    node: ast.AST
-
-
-@dataclass
-class _CallSite:
-    dotted: str
-    held: FrozenSet[str]
-    node: ast.AST
-
-
-@dataclass
-class _BlockingOp:
-    description: str
-    held: FrozenSet[str]
-    node: ast.AST
-
-
-@dataclass
-class _FunctionFacts:
-    fn: FunctionInfo
-    acquires: List[_Acquire] = field(default_factory=list)
-    calls: List[_CallSite] = field(default_factory=list)
-    blocking: List[_BlockingOp] = field(default_factory=list)
-
-
-class _ProjectLockWalker:
-    """Per-function walker resolving lock keys project-wide.
-
-    Lock identity keys: ``Class.qualname + "." + attr`` for self-attribute
-    locks (every instance of the class shares one key — the standard
-    over-approximation for ordering discipline), ``fn.qualname + "." +
-    name`` for function-local locks, ``module.name + "." + name`` for
-    module-level locks.
-    """
-
-    def __init__(self, analysis: "_ProjectLockAnalysis", fn: FunctionInfo) -> None:
-        self.analysis = analysis
-        self.fn = fn
-        self.facts = _FunctionFacts(fn)
-        self.local_locks: Dict[str, str] = {}
-        self.thread_names: Set[str] = set()
-        self.thread_collections: Set[str] = set()
-        self._prescan(fn.node)
-
-    # -- lock/thread name discovery -------------------------------------
-    def _prescan(self, fn_node: ast.AST) -> None:
-        for node in ast.walk(fn_node):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            for target in node.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if _is_lock_constructor(value):
-                    self.local_locks[target.id] = f"{self.fn.qualname}.{target.id}"
-                elif self._is_thread_ctor(value):
-                    self.thread_names.add(target.id)
-                elif self._contains_thread_ctor(value):
-                    self.thread_collections.add(target.id)
-        # ``for t in pool:`` over a collection of threads taints ``t``.
-        for node in ast.walk(fn_node):
-            if (
-                isinstance(node, (ast.For, ast.AsyncFor))
-                and isinstance(node.target, ast.Name)
-                and isinstance(node.iter, ast.Name)
-                and node.iter.id in self.thread_collections
-            ):
-                self.thread_names.add(node.target.id)
-
-    @staticmethod
-    def _is_thread_ctor(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        dotted = _call_dotted(value)
-        return dotted is not None and dotted.rsplit(".", 1)[-1] == "Thread"
-
-    @classmethod
-    def _contains_thread_ctor(cls, value: ast.AST) -> bool:
-        if isinstance(value, (ast.List, ast.Tuple)):
-            return any(cls._is_thread_ctor(e) for e in value.elts)
-        if isinstance(value, ast.ListComp):
-            return cls._is_thread_ctor(value.elt)
-        return False
-
-    # -- lock-key resolution --------------------------------------------
-    def _lock_key(self, expr: ast.AST) -> Optional[str]:
-        target = expr
-        if (
-            isinstance(target, ast.Call)
-            and isinstance(target.func, ast.Attribute)
-            and target.func.attr in ("read", "write")
-        ):
-            target = target.func.value
-        attr = _attr_of_self(target)
-        if attr is not None:
-            owner = self.fn.owner
-            if owner is not None:
-                return self.analysis.class_locks.get(owner.qualname, {}).get(attr)
-            return None
-        if isinstance(target, ast.Name):
-            if target.id in self.local_locks:
-                return self.local_locks[target.id]
-            module_key = f"{self.fn.module.name}.{target.id}"
-            if module_key in self.analysis.module_locks:
-                return module_key
-        return None
-
-    # -- walk -----------------------------------------------------------
-    def walk(self) -> _FunctionFacts:
-        for stmt in self.fn.node.body:
-            self._visit(stmt, frozenset())
-        return self.facts
-
-    def _visit(self, node: ast.AST, held: FrozenSet[str]) -> None:
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            inner = held
-            for item in node.items:
-                key = self._lock_key(item.context_expr)
-                if key is not None:
-                    self.facts.acquires.append(
-                        _Acquire(key=key, held=inner, node=item.context_expr)
-                    )
-                    inner = inner | {key}
-                else:
-                    self._visit(item.context_expr, held)
-            for stmt in node.body:
-                self._visit(stmt, inner)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return  # closures run later, under unknown locks
-        if isinstance(node, ast.Call):
-            self._record_call(node, held)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, held)
-
-    def _record_call(self, call: ast.Call, held: FrozenSet[str]) -> None:
-        dotted = _call_dotted(call)
-        if dotted is None:
-            return
-        description = self._blocking_description(call, dotted, held)
-        if description is not None:
-            self.facts.blocking.append(
-                _BlockingOp(description=description, held=held, node=call)
-            )
-            return
-        self.facts.calls.append(_CallSite(dotted=dotted, held=held, node=call))
-
-    def _blocking_description(
-        self, call: ast.Call, dotted: str, held: FrozenSet[str]
-    ) -> Optional[str]:
-        parts = dotted.split(".")
-        short = parts[-1]
-        if short == "sleep":
-            if dotted == "time.sleep" or self.fn.module.imports.get("sleep") == "time.sleep":
-                return "time.sleep()"
-            return None
-        if short == "join":
-            receiver = parts[0] if len(parts) == 2 else None
-            if receiver is not None and receiver in self.thread_names:
-                return f"{receiver}.join() (Thread.join)"
-            return None
-        if short == "wait":
-            # ``cond.wait()`` on the very lock being held releases it
-            # while waiting — the one legitimate blocking-under-lock.
-            if isinstance(call.func, ast.Attribute):
-                key = self._lock_key(call.func.value)
-                if key is not None and key in held:
-                    return None
-            if len(parts) >= 2:
-                return f"{dotted}()"
-            return None
-        if short in BLOCKING_CALL_NAMES:
-            if short == "open" and dotted != "open":
-                return None  # only the builtin, not arbitrary ``x.open``
-            return f"{dotted}()"
-        return None
-
-
-class _ProjectLockAnalysis:
-    """Acquisition graph, transitive lock/blocking summaries, edge sites."""
-
-    def __init__(self, index: ProjectIndex) -> None:
-        self.index = index
-        #: class qualname → {lock attr → canonical lock key}; inherited
-        #: locks key on the *defining* class, so ``Counter._lock`` and
-        #: ``Gauge._lock`` both canonicalise to ``Metric._lock``.
-        self.class_locks: Dict[str, Dict[str, str]] = {}
-        self.attr_classes: Dict[str, Dict[str, ClassInfo]] = {}
-        self.module_locks: Set[str] = set()
-        self.facts: Dict[str, _FunctionFacts] = {}
-        self._collect_classes()
-        self._collect_module_locks()
-        for fn in index.all_functions():
-            self.facts[fn.qualname] = _ProjectLockWalker(self, fn).walk()
-        self.acquired_within = self._fixpoint_acquired()
-        self.blocking_within = self._fixpoint_blocking()
-
-    # -- collection -----------------------------------------------------
-    def _collect_classes(self) -> None:
-        for module in self.index.modules.values():
-            for cls_info in module.classes.values():
-                lock_keys = self._lock_keys_of(cls_info)
-                if lock_keys:
-                    self.class_locks[cls_info.qualname] = lock_keys
-                self.attr_classes[cls_info.qualname] = self._attr_classes_of(
-                    module, cls_info
-                )
-
-    def _lock_keys_of(self, cls_info: ClassInfo) -> Dict[str, str]:
-        """Lock attrs visible on ``cls_info``, keyed by defining class."""
-        keys: Dict[str, str] = {}
-        stack = [cls_info]
-        seen: Set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current.qualname in seen:
-                continue
-            seen.add(current.qualname)
-            for attr in _find_lock_attrs(current.node):
-                # Nearest definition in the walk order wins; an attr
-                # re-created by a subclass keys on the subclass.
-                keys.setdefault(attr, f"{current.qualname}.{attr}")
-            for base in current.node.bases:
-                dotted = _expr_dotted(base)
-                if dotted is None:
-                    continue
-                resolved = self.index.resolve_call(current.module, dotted, None)
-                if resolved is not None and resolved[0] == "class":
-                    stack.append(resolved[1])  # type: ignore[arg-type]
-        return keys
-
-    def _attr_classes_of(
-        self, module: ModuleInfo, cls_info: ClassInfo
-    ) -> Dict[str, ClassInfo]:
-        """``self.<attr>`` → the class of the object it holds, where the
-        ``__init__`` assignment or annotation names a resolvable class."""
-        mapping: Dict[str, ClassInfo] = {}
-        init = cls_info.init
-        if init is not None:
-            for node in ast.walk(init.node):
-                targets: List[ast.AST] = []
-                value: Optional[ast.AST] = None
-                if isinstance(node, ast.Assign):
-                    targets, value = node.targets, node.value
-                elif isinstance(node, ast.AnnAssign):
-                    targets, value = [node.target], node.value
-                if not isinstance(value, ast.Call):
-                    continue
-                dotted = _call_dotted(value)
-                if dotted is None:
-                    continue
-                resolved = self.index.resolve_call(module, dotted, cls_info)
-                if resolved is None or resolved[0] != "class":
-                    continue
-                for target in targets:
-                    attr = _attr_of_self(target)
-                    if attr is not None:
-                        mapping[attr] = resolved[1]  # type: ignore[assignment]
-        for attr, annotation in cls_info.attr_annotations.items():
-            if attr in mapping:
-                continue
-            class_name = annotation_class_name(annotation)
-            if class_name is None:
-                continue
-            resolved = self.index.resolve_call(module, class_name, None)
-            if resolved is not None and resolved[0] == "class":
-                mapping[attr] = resolved[1]  # type: ignore[assignment]
-        return mapping
-
-    def _collect_module_locks(self) -> None:
-        for module in self.index.modules.values():
-            for stmt in module.tree.body:
-                if isinstance(stmt, ast.Assign) and _is_lock_constructor(stmt.value):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            self.module_locks.add(f"{module.name}.{target.id}")
-
-    # -- call resolution ------------------------------------------------
-    def resolve_callee(self, fn: FunctionInfo, dotted: str) -> Optional[FunctionInfo]:
-        parts = dotted.split(".")
-        if parts[0] == "self" and len(parts) == 3 and fn.owner is not None:
-            attr_cls = self.attr_classes.get(fn.owner.qualname, {}).get(parts[1])
-            if attr_cls is not None:
-                return attr_cls.methods.get(parts[2])
-            return None
-        resolved = self.index.resolve_call(fn.module, dotted, fn.owner)
-        if resolved is None:
-            return None
-        kind, target = resolved
-        if kind == "function":
-            return target  # type: ignore[return-value]
-        if kind == "class":
-            return target.init  # type: ignore[union-attr]
-        return None
-
-    # -- fixpoints ------------------------------------------------------
-    def _fixpoint_acquired(self) -> Dict[str, FrozenSet[str]]:
-        acquired = {
-            qualname: frozenset(acquire.key for acquire in facts.acquires)
-            for qualname, facts in self.facts.items()
-        }
-        return self._propagate(acquired)
-
-    def _fixpoint_blocking(self) -> Dict[str, FrozenSet[str]]:
-        blocking = {
-            qualname: frozenset(op.description for op in facts.blocking)
-            for qualname, facts in self.facts.items()
-        }
-        return self._propagate(blocking)
-
-    def _propagate(self, summary: Dict[str, FrozenSet[str]]) -> Dict[str, FrozenSet[str]]:
-        for _ in range(len(self.facts) + 1):
-            changed = False
-            for qualname, facts in self.facts.items():
-                combined = summary[qualname]
-                for site in facts.calls:
-                    callee = self.resolve_callee(facts.fn, site.dotted)
-                    if callee is None:
-                        continue
-                    combined = combined | summary.get(callee.qualname, frozenset())
-                if combined != summary[qualname]:
-                    summary[qualname] = combined
-                    changed = True
-            if not changed:
-                break
-        return summary
-
-    # -- the acquisition-order graph ------------------------------------
-    def order_edges(self) -> Dict[Tuple[str, str], Tuple[FunctionInfo, ast.AST]]:
-        """``(held, acquired)`` → first witnessing (function, site)."""
-        edges: Dict[Tuple[str, str], Tuple[FunctionInfo, ast.AST]] = {}
-        for facts in self.facts.values():
-            for acquire in facts.acquires:
-                for held in acquire.held:
-                    if held != acquire.key:
-                        edges.setdefault((held, acquire.key), (facts.fn, acquire.node))
-            for site in facts.calls:
-                if not site.held:
-                    continue
-                callee = self.resolve_callee(facts.fn, site.dotted)
-                if callee is None:
-                    continue
-                for acquired in self.acquired_within.get(callee.qualname, frozenset()):
-                    for held in site.held:
-                        if held != acquired:
-                            edges.setdefault(
-                                (held, acquired), (facts.fn, site.node)
-                            )
-        return edges
-
-
-_ANALYSIS_CACHE: "WeakKeyDictionary[ProjectIndex, _ProjectLockAnalysis]" = (
-    WeakKeyDictionary()
-)
-
-
-def _analysis_for(index: ProjectIndex) -> _ProjectLockAnalysis:
-    analysis = _ANALYSIS_CACHE.get(index)
-    if analysis is None:
-        analysis = _ProjectLockAnalysis(index)
-        _ANALYSIS_CACHE[index] = analysis
-    return analysis
-
-
-def _short_lock(key: str) -> str:
-    """``OracleService._swap_lock`` from a fully qualified lock key."""
-    parts = key.split(".")
-    return ".".join(parts[-2:]) if len(parts) >= 2 else key
-
-
-# ----------------------------------------------------------------------
-# R202 — lock-order inversion (project rule)
-# ----------------------------------------------------------------------
-
-
-@register
-class LockOrderInversion(Rule):
-    """Flag acquisition-order cycles (potential ABBA deadlocks)."""
-
-    rule_id = "R202"
-    name = "lock-order-inversion"
-    description = (
-        "Two locks acquired in opposite orders on different code paths "
-        "(directly or through resolved calls) can deadlock: the project-"
-        "wide acquisition graph must stay acyclic."
-    )
-    scopes = None
-    project_scope = True
-
-    def check(self, ctx) -> list:
-        return []
-
-    def check_project(self, index: ProjectIndex) -> list:
-        analysis = _analysis_for(index)
-        edges = analysis.order_edges()
-        adjacency: Dict[str, Set[str]] = {}
-        for before, after in edges:
-            adjacency.setdefault(before, set()).add(after)
-        violations: list = []
-        for (before, after), (fn, node) in sorted(
-            edges.items(), key=lambda item: (item[1][0].module.path, item[1][1].lineno)
-        ):
-            if not self._reachable(adjacency, after, before):
-                continue
-            reverse = edges.get((after, before))
-            where = ""
-            if reverse is not None:
-                rev_fn, rev_node = reverse
-                where = (
-                    f" (reverse order at {rev_fn.module.path}:{rev_node.lineno} "
-                    f"in {rev_fn.name}())"
-                )
-            violations.append(
-                self._violation_at(
-                    fn.module,
-                    node,
-                    f"lock-order inversion: {_short_lock(after)} is acquired "
-                    f"while holding {_short_lock(before)} here, but another "
-                    f"path acquires them in the opposite order{where} — "
-                    "potential ABBA deadlock",
-                )
-            )
-        return violations
-
-    @staticmethod
-    def _reachable(adjacency: Dict[str, Set[str]], start: str, goal: str) -> bool:
-        stack = [start]
-        seen: Set[str] = set()
-        while stack:
-            current = stack.pop()
-            if current == goal:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(adjacency.get(current, ()))
-        return False
-
-    def _violation_at(self, module: ModuleInfo, node: ast.AST, message: str):
-        from repro.lint.engine import Violation
-
-        return Violation(
-            path=module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule_id=self.rule_id,
-            message=message,
-        )
-
-
-# ----------------------------------------------------------------------
-# R203 — blocking call while holding a lock (project rule)
-# ----------------------------------------------------------------------
-
-
-@register
-class BlockingCallUnderLock(Rule):
-    """No I/O, sleeps or joins inside a lock region, even transitively."""
-
-    rule_id = "R203"
-    name = "blocking-call-under-lock"
-    description = (
-        "Blocking operations (file/socket I/O, time.sleep, Thread.join, "
-        "snapshot load/save, HTTP serving) inside a with-lock region stall "
-        "every other thread contending for the lock; move the slow work "
-        "outside the critical section (the reload() pattern)."
-    )
-    scopes = None
-    project_scope = True
-
-    def check(self, ctx) -> list:
-        return []
-
-    def check_project(self, index: ProjectIndex) -> list:
-        analysis = _analysis_for(index)
-        violations: list = []
-        for qualname in sorted(analysis.facts):
-            facts = analysis.facts[qualname]
-            for op in facts.blocking:
-                if not op.held:
-                    continue
-                violations.append(
-                    self._violation_at(
-                        facts.fn.module,
-                        op.node,
-                        f"blocking call {op.description} while holding "
-                        f"{self._held_text(op.held)}",
-                    )
-                )
-            for site in facts.calls:
-                if not site.held:
-                    continue
-                callee = analysis.resolve_callee(facts.fn, site.dotted)
-                if callee is None:
-                    continue
-                reached = analysis.blocking_within.get(callee.qualname, frozenset())
-                if not reached:
-                    continue
-                sample = sorted(reached)[0]
-                violations.append(
-                    self._violation_at(
-                        facts.fn.module,
-                        site.node,
-                        f"call to {callee.name}() while holding "
-                        f"{self._held_text(site.held)} reaches blocking "
-                        f"{sample}",
-                    )
-                )
-        return violations
-
-    @staticmethod
-    def _held_text(held: Iterable[str]) -> str:
-        return ", ".join(_short_lock(key) for key in sorted(held))
-
-    def _violation_at(self, module: ModuleInfo, node: ast.AST, message: str):
-        from repro.lint.engine import Violation
-
-        return Violation(
-            path=module.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule_id=self.rule_id,
-            message=message,
-        )

@@ -9,9 +9,8 @@ them through the suppression comments.
 Two rule kinds are dispatched:
 
 * **file rules** (``project_scope = False``) see one
-  :class:`FileContext` at a time and may run in parallel workers
-  (``jobs > 1``);
-* **project rules** (``project_scope = True``, R101/R104/R105) run once
+  :class:`FileContext` at a time;
+* **project rules** (``project_scope = True``, R101/R104/R106) run once
   per invocation over a :class:`~repro.lint.project.ProjectIndex` built
   from every parsed file, after the per-file wave.  Their violations
   still honour the suppression comments of the file they anchor to.
@@ -27,15 +26,13 @@ Suppression syntax
 from __future__ import annotations
 
 import ast
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
-from repro.lint import concurrency  # noqa: F401 — registers R201–R205
-from repro.lint import rules_project  # noqa: F401 — registers R101–R106
+from repro.lint import concurrency  # noqa: F401 — registers R201, R204, R205
+from repro.lint import rules_project  # noqa: F401 — registers R101, R104, R106
 from repro.lint.project import ProjectIndex, collect_reference_identifiers
 from repro.lint.rules import Rule, all_rules
 
@@ -156,24 +153,6 @@ def _infer_subpackage(path: Path) -> Optional[str]:
     return None
 
 
-def _lint_file_worker(task: tuple) -> tuple:
-    """Parallel-worker entry: lint one file with the named file rules.
-
-    Returns a picklable ``("ok", violations)`` /
-    ``("syntax-error", path, message)`` pair — ``SyntaxError`` loses its
-    ``filename`` attribute across process boundaries, so it is re-raised
-    with full context in the parent instead.
-    """
-    from repro.lint.rules import get_rule
-
-    path_str, rule_ids = task
-    engine = LintEngine([get_rule(rule_id) for rule_id in rule_ids])
-    try:
-        return ("ok", engine.lint_file(Path(path_str)))
-    except SyntaxError as exc:
-        return ("syntax-error", path_str, str(exc))
-
-
 class LintEngine:
     """Run a set of rules over files or in-memory source.
 
@@ -181,10 +160,6 @@ class LintEngine:
     ----------
     rules:
         The rules to dispatch (default: the full registry).
-    jobs:
-        Worker processes for the per-file wave; ``1`` (default) stays
-        in-process, ``0`` means one per CPU.  Project rules always run
-        serially in the parent — they need the whole index.
     reference_roots:
         Directories whose identifiers count as external references for
         liveness rules.  ``None`` (default) auto-detects ``tests``/
@@ -195,11 +170,9 @@ class LintEngine:
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
-        jobs: int = 1,
         reference_roots: Optional[Sequence] = None,
     ) -> None:
         self._rules: tuple = tuple(rules) if rules is not None else tuple(all_rules())
-        self._jobs = int(jobs)
         self._reference_roots = reference_roots
 
     @property
@@ -228,11 +201,6 @@ class LintEngine:
             key=lambda v: (v.line, v.col, v.rule_id),
         )
 
-    def lint_file(self, path: Path) -> list:
-        """Run the file rules on one file; raises ``SyntaxError`` on
-        unparsable input.  Project rules need :meth:`lint_paths`."""
-        return self.lint_context(self._parse_file(path))
-
     @staticmethod
     def _parse_file(path: Path) -> FileContext:
         source = path.read_text(encoding="utf-8")
@@ -254,46 +222,14 @@ class LintEngine:
 
         violations: list = []
         contexts: Dict[str, FileContext] = {}
-        jobs = self._effective_jobs(len(targets))
-        if jobs > 1 and self.file_rules:
-            violations.extend(self._lint_files_parallel(targets, jobs))
-            if self.project_rules:
-                for target in targets:
-                    ctx = self._parse_file(target)
-                    contexts[ctx.path] = ctx
-        else:
-            for target in targets:
-                ctx = self._parse_file(target)
-                contexts[ctx.path] = ctx
-                violations.extend(self.lint_context(ctx))
+        for target in targets:
+            ctx = self._parse_file(target)
+            contexts[ctx.path] = ctx
+            violations.extend(self.lint_context(ctx))
 
         if self.project_rules and contexts:
             violations.extend(self._run_project_rules(contexts, targets))
         return violations, len(targets)
-
-    def _effective_jobs(self, target_count: int) -> int:
-        jobs = self._jobs if self._jobs > 0 else (os.cpu_count() or 1)
-        return max(1, min(jobs, target_count))
-
-    def _lint_files_parallel(self, targets: Sequence[Path], jobs: int) -> list:
-        rule_ids = [rule.rule_id for rule in self.file_rules]
-        tasks = [(str(target), rule_ids) for target in targets]
-        violations: list = []
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_lint_file_worker, tasks))
-        except (OSError, ImportError):  # pragma: no cover - platform dependent
-            # No usable worker pool (restricted sandbox, missing start
-            # method): degrade to in-process linting rather than failing.
-            return [v for target in targets for v in self.lint_file(target)]
-        for outcome in outcomes:
-            if outcome[0] == "syntax-error":
-                _, path_str, message = outcome
-                error = SyntaxError(message)
-                error.filename = path_str
-                raise error
-            violations.extend(outcome[1])
-        return violations
 
     def _run_project_rules(
         self, contexts: Mapping[str, FileContext], targets: Sequence[Path]

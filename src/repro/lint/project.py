@@ -1,27 +1,21 @@
 """Whole-program index for the cross-module lint rules.
 
-The per-file rules (R001–R004) see one ``ast.Module`` at a time; the
-paper's correctness, however, rests on *cross-module* invariants —
-window/precision parameters flowing validated through every call path,
-vHLL sketches merged only with identical ``(precision, salt)`` (Lemma
-2, §3.2), reverse-chronological input feeding Algorithm 2.  This module
-builds the shared substrate those rules (R101–R106 in
+The per-file rules see one ``ast.Module`` at a time; some of the
+paper's invariants, however, are *cross-module* — window/precision
+parameters must arrive validated through every call path, and a public
+export must have a user somewhere.  This module builds the shared
+substrate those rules (R101, R104 and R106 in
 :mod:`repro.lint.rules_project`) query:
 
 * per-module **symbol tables** (top-level functions, classes, methods);
 * the **import graph** (local alias → dotted target);
 * conservative **call resolution** via :meth:`ProjectIndex.resolve_call`,
   resolving ``name(...)``, ``module.name(...)``, ``self.method(...)``
-  and ``cls(...)`` call forms to indexed functions;
-* lightweight per-class dataflow facts: ``self._attr = param`` aliases
-  recorded in ``__init__`` and ``self._attr: T`` annotations, which let
-  R105 normalise constructor configurations and type sketch-valued
-  attributes.
+  and ``cls(...)`` call forms to indexed functions.
 
 Resolution is *conservative*: a callee that cannot be resolved inside
-the project is reported as unresolved, and the rules decide whether to
-be optimistic (R101 treats unknown forwards as potentially validating,
-like R002) or pessimistic (R105 refuses to equate unprovable configs).
+the project is reported as unresolved, and R101 treats such an unknown
+forward as potentially validating.
 
 The index is path-layout tolerant: module dotted names are derived from
 the path components after the last ``src`` segment, and
@@ -41,13 +35,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 __all__ = [
     "BUILTIN_NAMES",
     "FunctionInfo",
-    "ClassInfo",
     "ModuleInfo",
     "ProjectIndex",
     "Resolution",
     "module_name_for_path",
-    "annotation_class_name",
-    "mapping_value_class",
     "bind_arguments",
     "collect_reference_identifiers",
 ]
@@ -55,10 +46,6 @@ __all__ = [
 #: Names that resolve to Python builtins — calls to these never validate
 #: or launder an algorithm parameter.
 BUILTIN_NAMES = frozenset(dir(builtins))
-
-_MAPPING_BASES = frozenset(
-    {"Dict", "dict", "Mapping", "MutableMapping", "DefaultDict", "defaultdict"}
-)
 
 
 def module_name_for_path(path: str) -> str:
@@ -78,57 +65,6 @@ def module_name_for_path(path: str) -> str:
         last_src = len(parts) - 1 - parts[::-1].index("src")
         parts = parts[last_src + 1 :]
     return ".".join(parts) if parts else "<module>"
-
-
-def annotation_class_name(ann: Optional[ast.AST]) -> Optional[str]:
-    """The class name an annotation expression denotes, if recoverable.
-
-    Handles ``Name``, ``mod.Attr``, string annotations, ``Optional[X]``
-    and ``X | None``; containers and unions of two real types yield
-    ``None`` (unknown).
-    """
-    if ann is None:
-        return None
-    if isinstance(ann, ast.Name):
-        return ann.id
-    if isinstance(ann, ast.Attribute):
-        return ann.attr
-    if isinstance(ann, ast.Constant):
-        if ann.value is None:
-            return "None"
-        if isinstance(ann.value, str):
-            try:
-                return annotation_class_name(ast.parse(ann.value, mode="eval").body)
-            except SyntaxError:
-                return None
-        return None
-    if isinstance(ann, ast.Subscript):
-        base = annotation_class_name(ann.value)
-        if base == "Optional":
-            return annotation_class_name(ann.slice)
-        return None
-    if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
-        left = annotation_class_name(ann.left)
-        right = annotation_class_name(ann.right)
-        if left == "None":
-            return right
-        if right == "None":
-            return left
-        return None
-    return None
-
-
-def mapping_value_class(ann: Optional[ast.AST]) -> Optional[str]:
-    """Value-type class of a ``Dict[K, V]``-style annotation, if any."""
-    if not isinstance(ann, ast.Subscript):
-        return None
-    base = annotation_class_name(ann.value)
-    if base not in _MAPPING_BASES:
-        return None
-    index = ann.slice
-    if isinstance(index, ast.Tuple) and len(index.elts) == 2:
-        return annotation_class_name(index.elts[1])
-    return None
 
 
 @dataclass
@@ -161,10 +97,6 @@ class FunctionInfo:
         return "staticmethod" in self.decorators
 
     @property
-    def is_classmethod(self) -> bool:
-        return "classmethod" in self.decorators
-
-    @property
     def params(self) -> List[str]:
         """Bindable parameter names, ``self``/``cls`` receiver stripped."""
         args = self.node.args
@@ -181,18 +113,6 @@ class FunctionInfo:
             ordered = ordered[1:]
         return ordered
 
-    def param_defaults(self) -> Dict[str, ast.AST]:
-        """Parameter name → default-value expression, where one exists."""
-        args = self.node.args
-        ordered = args.posonlyargs + args.args
-        defaults: Dict[str, ast.AST] = {}
-        for arg, default in zip(reversed(ordered), reversed(args.defaults)):
-            defaults[arg.arg] = default
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                defaults[arg.arg] = default
-        return defaults
-
     @property
     def is_public(self) -> bool:
         return self.name == "__init__" or not self.name.startswith("_")
@@ -200,18 +120,13 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One indexed class with its direct methods and dataflow facts."""
+    """One indexed class with its direct methods."""
 
     name: str
     qualname: str
     module: "ModuleInfo"
     node: ast.ClassDef
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: ``self._attr: T`` (in ``__init__``) and class-body ``attr: T``.
-    attr_annotations: Dict[str, ast.AST] = field(default_factory=dict)
-    #: ``self._attr = param`` recorded in ``__init__`` — lets R105 treat
-    #: ``self._precision`` as an alias of the constructor's ``precision``.
-    init_aliases: Dict[str, str] = field(default_factory=dict)
 
     @property
     def init(self) -> Optional[FunctionInfo]:
@@ -352,32 +267,6 @@ class ProjectIndex:
                     owner=cls_info,
                 )
                 cls_info.methods[stmt.name] = fn
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                cls_info.attr_annotations[stmt.target.id] = stmt.annotation
-        init = cls_info.methods.get("__init__")
-        if init is not None:
-            init_params = set(init.params)
-            for stmt in ast.walk(init.node):
-                if isinstance(stmt, ast.AnnAssign):
-                    target = stmt.target
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        cls_info.attr_annotations[target.attr] = stmt.annotation
-                        if isinstance(stmt.value, ast.Name) and stmt.value.id in init_params:
-                            cls_info.init_aliases[target.attr] = stmt.value.id
-                elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and isinstance(stmt.value, ast.Name)
-                        and stmt.value.id in init_params
-                    ):
-                        cls_info.init_aliases[target.attr] = stmt.value.id
         return cls_info
 
     def _collect_exports(self, info: ModuleInfo) -> None:
@@ -494,16 +383,6 @@ class ProjectIndex:
             if head not in {name.split(".")[0] for name in self.modules}:
                 return ("external", fallback_external)
         return None
-
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
-    def all_functions(self) -> Iterable[FunctionInfo]:
-        for module in self.modules.values():
-            yield from module.functions.values()
-            for cls_info in module.classes.values():
-                yield from cls_info.methods.values()
-
 
 def bind_arguments(fn: FunctionInfo, call: ast.Call) -> Optional[Dict[str, ast.AST]]:
     """Map a call's argument expressions onto ``fn``'s parameter names.

@@ -8,9 +8,6 @@ rationale):
   algorithm packages (``core``, ``sketch``, ``simulation``,
   ``baselines``).  Experiments must be bit-for-bit reproducible from a
   seed; stochastic components go through :mod:`repro.utils.rng`.
-* **R002** — public algorithm entry points taking window/precision/
-  probability parameters must validate them through
-  :mod:`repro.utils.validation` (or forward them to a callee that does).
 * **R003** — no in-place mutation of a sequence bound from a sort or
   loader result.  The one-pass algorithms assume time-sorted input;
   mutating a sorted sequence silently breaks Definition 2.
@@ -20,11 +17,6 @@ rationale):
   ``time.time()``, …) outside ``repro/utils/timer.py`` and
   ``repro/obs/``; all measurement flows through the instrumented layer
   so observability sees every clock read.
-* **R007** — no mutable default argument values (``{}``, ``[]``,
-  ``set()``, comprehensions, …).  Defaults are evaluated once at
-  definition time, so a mutable default is shared across every call —
-  state leaking between exporter invocations is exactly how label sets
-  bleed between metric families.  Use ``None`` and materialise inside.
 
 Rules are plain classes registered in :data:`REGISTRY`; adding a rule is
 subclassing :class:`Rule` and decorating with :func:`register`.
@@ -43,11 +35,9 @@ __all__ = [
     "select_rules",
     "expand_rule_selectors",
     "NoWallClockOrUnseededRandom",
-    "ValidateAlgorithmParameters",
     "NoMutationAfterSort",
     "PublicApiFullyAnnotated",
     "NoDirectTimingCalls",
-    "NoMutableDefaultArguments",
 ]
 
 ALGORITHM_SCOPES = frozenset({"core", "sketch", "simulation", "baselines", "serve"})
@@ -265,96 +255,6 @@ class NoWallClockOrUnseededRandom(Rule):
                 return not has_args
             return True
         return False
-
-
-# ----------------------------------------------------------------------
-# R002 — parameter validation
-# ----------------------------------------------------------------------
-
-
-@register
-class ValidateAlgorithmParameters(Rule):
-    """Require repro.utils.validation checks on algorithm parameters."""
-
-    rule_id = "R002"
-    name = "validate-algorithm-parameters"
-    description = (
-        "Public entry points taking window/omega, precision/num_registers or "
-        "probability parameters must validate them via repro.utils.validation "
-        "(or forward them, by name, to a callee that does)."
-    )
-    scopes = ALGORITHM_SCOPES
-
-    #: Monitored parameter name → validator names that discharge it.
-    MONITORED: Dict[str, frozenset] = {
-        "window": frozenset(
-            {"require_non_negative", "require_positive", "require_in_range", "require_int"}
-        ),
-        "omega": frozenset(
-            {"require_non_negative", "require_positive", "require_in_range", "require_int"}
-        ),
-        "precision": frozenset(
-            {"require_in_range", "require_power_of_two", "require_positive", "require_int"}
-        ),
-        "num_registers": frozenset(
-            {"require_in_range", "require_power_of_two", "require_positive", "require_int"}
-        ),
-        "probability": frozenset({"require_probability", "require_in_range"}),
-    }
-
-    def check(self, ctx) -> list:
-        violations = []
-        for func in _walk_functions(ctx.tree):
-            if not _is_public_entry_point(func):
-                continue
-            monitored = [
-                arg.arg
-                for arg in (func.args.posonlyargs + func.args.args + func.args.kwonlyargs)
-                if arg.arg in self.MONITORED
-            ]
-            if not monitored:
-                continue
-            validated, forwarded = self._classify_uses(func)
-            for param in monitored:
-                if param in validated or param in forwarded:
-                    continue
-                violations.append(
-                    self.violation(
-                        ctx,
-                        func,
-                        f"parameter {param!r} of {func.name}() is neither validated "
-                        f"via repro.utils.validation ("
-                        f"{'/'.join(sorted(self.MONITORED[param]))}) nor forwarded "
-                        "to a callee that validates it",
-                    )
-                )
-        return violations
-
-    def _classify_uses(self, func) -> tuple:
-        """Partition monitored params into validated / forwarded-by-name."""
-        validated: set = set()
-        forwarded: set = set()
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _callee_name(node)
-            short = callee.rsplit(".", 1)[-1] if callee else ""
-            is_validator = short.startswith("require_")
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id in self.MONITORED:
-                    if is_validator and short in self.MONITORED[arg.id]:
-                        validated.add(arg.id)
-                    elif not is_validator:
-                        forwarded.add(arg.id)
-            for keyword in node.keywords:
-                value = keyword.value
-                if not (isinstance(value, ast.Name) and value.id in self.MONITORED):
-                    continue
-                if is_validator and short in self.MONITORED[value.id]:
-                    validated.add(value.id)
-                elif not is_validator and keyword.arg == value.id:
-                    forwarded.add(value.id)
-        return validated, forwarded
 
 
 # ----------------------------------------------------------------------
@@ -636,87 +536,3 @@ class PublicApiFullyAnnotated(Rule):
         if func.returns is None:
             missing.append("return")
         return missing
-
-
-# ----------------------------------------------------------------------
-# R007 — no mutable default argument values
-# ----------------------------------------------------------------------
-
-
-@register
-class NoMutableDefaultArguments(Rule):
-    """Flag mutable literals and constructor calls used as defaults."""
-
-    rule_id = "R007"
-    name = "no-mutable-default-arguments"
-    description = (
-        "Default values are evaluated once at function definition, so a "
-        "mutable default ({}, [], set(), dict(), comprehensions) is shared "
-        "across every call; default to None and build the value inside."
-    )
-    scopes = None  # everywhere under src/repro
-
-    #: Literal/comprehension nodes that always build a fresh mutable value.
-    MUTABLE_NODES = (
-        ast.Dict,
-        ast.List,
-        ast.Set,
-        ast.ListComp,
-        ast.SetComp,
-        ast.DictComp,
-    )
-
-    #: Constructor calls that build a mutable container.
-    MUTABLE_CALLS = frozenset(
-        {
-            "dict",
-            "list",
-            "set",
-            "bytearray",
-            "collections.defaultdict",
-            "collections.deque",
-            "collections.Counter",
-            "collections.OrderedDict",
-            "defaultdict",
-            "deque",
-            "Counter",
-            "OrderedDict",
-        }
-    )
-
-    def check(self, ctx) -> list:
-        violations = []
-        for func in _walk_functions(ctx.tree):
-            args = func.args
-            defaults = list(args.defaults) + [
-                default for default in args.kw_defaults if default is not None
-            ]
-            for default in defaults:
-                described = self._describe_mutable(default)
-                if described is not None:
-                    violations.append(
-                        self.violation(
-                            ctx,
-                            default,
-                            f"mutable default {described} in {func.name}() is "
-                            "evaluated once and shared across calls; default "
-                            "to None and construct the value in the body",
-                        )
-                    )
-        return violations
-
-    def _describe_mutable(self, default: ast.AST) -> Optional[str]:
-        """A short description of the default when mutable, else ``None``."""
-        if isinstance(default, ast.Dict):
-            return "{...}" if default.keys else "{}"
-        if isinstance(default, ast.List):
-            return "[...]" if default.elts else "[]"
-        if isinstance(default, ast.Set):
-            return "{...}"
-        if isinstance(default, (ast.ListComp, ast.SetComp, ast.DictComp)):
-            return "a comprehension"
-        if isinstance(default, ast.Call):
-            name = _callee_name(default)
-            if name is not None and name in self.MUTABLE_CALLS:
-                return f"{name}(...)" if (default.args or default.keywords) else f"{name}()"
-        return None

@@ -11,12 +11,12 @@ small and schema-valid.
 from __future__ import annotations
 
 import json
+from pathlib import Path, PurePosixPath
 from typing import Dict, List, Sequence
 
-from repro.lint.baseline import normalize_path
 from repro.lint.rules import all_rules
 
-__all__ = ["render_sarif", "SARIF_VERSION", "SARIF_SCHEMA_URI"]
+__all__ = ["render_sarif", "normalize_path", "SARIF_VERSION", "SARIF_SCHEMA_URI"]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -29,12 +29,24 @@ _TOOL_VERSION = "1.0.0"  # tracks the repro package version in pyproject.toml
 _INFO_URI = "https://example.invalid/repro/docs/static_analysis.md"
 
 
+def normalize_path(raw: str) -> str:
+    """Repo-relative POSIX form of a violation path, for artifact URIs."""
+    path = Path(raw)
+    if path.is_absolute():
+        try:
+            path = path.relative_to(Path.cwd())
+        except ValueError:
+            pass
+    return str(PurePosixPath(*path.parts))
+
+
 def _rule_anchor(rule) -> str:
     """GitHub heading anchor for the rule's catalogue entry.
 
-    ``docs/static_analysis.md`` titles every rule ``### R202 —
-    `lock-order-inversion```; GitHub slugs that to ``r202--lock-order-inversion``
-    (lowercase, punctuation dropped, spaces to dashes).
+    ``docs/static_analysis.md`` titles every rule ``### R201 —
+    `guarded-field-discipline```; GitHub slugs that to
+    ``r201--guarded-field-discipline`` (lowercase, punctuation dropped,
+    spaces to dashes).
     """
     return f"{rule.rule_id.lower()}--{rule.name}"
 

@@ -1,25 +1,26 @@
-"""Opt-in runtime lock sanitizer — the dynamic half of R201–R205.
+"""Opt-in runtime lock sanitizer — the dynamic half of the lock checks.
 
-The static pass in :mod:`repro.lint.concurrency` proves lock-order
-discipline over the code it can resolve; this module watches the locks
-that actually run.  When ``REPRO_DEBUG_LOCKS=1`` is set (read once, at
+The static pass in :mod:`repro.lint.concurrency` checks per-class
+guarded-field discipline; lock order and hold times are whole-program,
+run-time properties, and this module watches the locks that actually
+run.  When ``REPRO_DEBUG_LOCKS=1`` is set (read once, at
 import of :mod:`repro.obs` or via :func:`enable`), the
 ``threading.Lock`` / ``threading.RLock`` factories are replaced with
 ones returning a :class:`TracedLock` wrapper that records, per thread:
 
 * the **acquisition-order graph**: every ordered pair (held → acquired)
   ever observed, with counts.  A new edge whose reverse is already
-  reachable is a **lock-order cycle** — the runtime twin of rule R202's
-  ABBA finding — and is recorded with both sites and the thread name;
+  reachable is a **lock-order cycle** (a potential ABBA deadlock) and
+  is recorded with both sites and the thread name;
 * **long-held locks**: any hold longer than
-  ``REPRO_DEBUG_LOCKS_HOLD_SECONDS`` (default 1.0s) — the runtime twin
-  of rule R203's blocking-call-under-lock;
+  ``REPRO_DEBUG_LOCKS_HOLD_SECONDS`` (default 1.0s), such as blocking
+  I/O inside a critical section;
 * per-site **acquire counts** and maximum hold times.
 
 Locks are identified by their *creation site* (``file:line``), so every
 ``self._lock = threading.Lock()`` in a class maps all instances onto
-one stable key — matching the static rules' per-class-attribute lock
-identity.  ``threading.Condition()`` is covered without patching it:
+one stable key — the same per-class-attribute lock identity the static
+rules use.  ``threading.Condition()`` is covered without patching it:
 its default lock is an ``RLock()`` resolved through the (patched)
 ``threading`` namespace at call time, and :class:`TracedLock`
 implements the ``_release_save`` / ``_acquire_restore`` / ``_is_owned``

@@ -399,7 +399,7 @@ def run_loadgen(
 
     merged = sorted(value for bucket in latencies for value in bucket)
     per_endpoint: Dict[str, int] = {}
-    for counts in endpoint_counts:  # repro-lint: budget=O(threads·endpoints)
+    for counts in endpoint_counts:  # O(threads·endpoints)
         for endpoint, count in counts.items():
             per_endpoint[endpoint] = per_endpoint.get(endpoint, 0) + count
     error_count = sum(len(bucket) for bucket in errors) + len(stuck)

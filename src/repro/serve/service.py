@@ -336,7 +336,7 @@ class OracleService:
             require_int(k, "k")
             require_positive(k, "k")
             oracle = self._oracle
-            # repro-lint: budget=O(n log k) — bounded-heap scan over all nodes.
+            # O(n log k) — bounded-heap scan over all nodes.
             ranked = heapq.nsmallest(
                 k,
                 ((oracle.influence(node), repr(node), node) for node in oracle.nodes()),

@@ -180,7 +180,7 @@ def _exact_sections(
         index_of[key] = len(labels)
         labels.append(_check_label(key))
     sets_as_indices: List[List[int]] = []
-    for key in keys:  # repro-lint: budget=O(Σ|σ(u)|)
+    for key in keys:  # O(Σ|σ(u)|)
         members = []
         for member in oracle.reachability_set(key):
             slot = index_of.get(member)
@@ -235,7 +235,7 @@ def _approx_sections(
                 _dumps([_check_label(key) for key in keys[start : start + chunk]]),
             )
         pack_count, pack_cell = _COUNT.pack, _CELL.pack
-        for start in range(0, len(keys), chunk):  # repro-lint: budget=O(Σ filled cells)
+        for start in range(0, len(keys), chunk):  # O(Σ filled cells)
             block = bytearray()
             for key in keys[start : start + chunk]:
                 filled = oracle.filled_cells(key)
@@ -516,7 +516,7 @@ def _load_exact(reader: SnapshotReader) -> ExactInfluenceOracle:
     labels = _load_labels(reader, label_count)
     sets: Dict[Node, frozenset] = {}
     cursor = 0
-    for block in reader.chunks("sets"):  # repro-lint: budget=O(Σ|σ(u)|)
+    for block in reader.chunks("sets"):  # O(Σ|σ(u)|)
         if not isinstance(block, list):
             raise ValueError(f"{reader.path}: sets section is not a JSON list")
         for members in block:
@@ -550,7 +550,7 @@ def _load_approx(reader: SnapshotReader) -> ApproxInfluenceOracle:
     cursor = 0
     iter_cells = _CELL.iter_unpack
     unpack_count = _COUNT.unpack_from
-    for name in reader.section_names:  # repro-lint: budget=O(Σ filled cells)
+    for name in reader.section_names:  # O(Σ filled cells)
         if not name.startswith("cells/"):
             continue
         block = reader.read_section(name)
@@ -631,7 +631,7 @@ def load_sketches(path: str) -> Dict[Node, VersionedHLL]:
         labels = _load_labels(reader, node_count)
         sketches: Dict[Node, VersionedHLL] = {}
         cursor = 0
-        # repro-lint: budget=O(n·cells) — one from_dict per stored sketch.
+        # O(n·cells) — one from_dict per stored sketch.
         for block in reader.chunks("sketches"):
             if not isinstance(block, list):
                 raise ValueError(f"{path}: sketches section is not a JSON list")

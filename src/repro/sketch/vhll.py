@@ -205,7 +205,7 @@ class VersionedHLL:
         """
         self._check_compatible(other)
         insert_pair = self._insert_pair
-        for cell_index, pairs in other._cells.items():  # repro-lint: budget=O(filled cells·F)
+        for cell_index, pairs in other._cells.items():  # O(filled cells·F)
             for pair in pairs:
                 insert_pair(cell_index, pair)
 
@@ -224,7 +224,7 @@ class VersionedHLL:
         require_non_negative(window, "window")
         deadline = start_time + window  # exclusive: keep t < deadline
         insert_pair = self._insert_pair
-        for cell_index, pairs in other._cells.items():  # repro-lint: budget=O(filled cells·F)
+        for cell_index, pairs in other._cells.items():  # O(filled cells·F)
             for pair in pairs:
                 if pair[0] >= deadline:
                     break  # pairs are time-sorted; the rest are too late
@@ -396,7 +396,7 @@ class VersionedHLL:
         a pair list that is not a strict Pareto frontier.
         """
         sketch = cls(precision, salt)
-        for entry in filled:  # repro-lint: budget=O(filled cells·F)
+        for entry in filled:  # O(filled cells·F)
             index, raw_pairs = entry
             require_int(index, "cell index")
             if not 0 <= index < sketch._m:

@@ -1,16 +1,13 @@
-"""Positive/negative fixtures for the cross-module rules R101–R106."""
+"""Positive/negative fixtures for the cross-module rules R101, R104, R106."""
 
 from __future__ import annotations
 
-from repro.lint.engine import lint_project_sources, lint_source
+from repro.lint.engine import lint_project_sources
 from repro.lint.rules import get_rule
 from repro.lint.rules_project import (
-    ComplexityBudget,
     DeadExports,
     InterproceduralParameterValidation,
     ProjectRule,
-    SketchMergeCompatibility,
-    TemporalOrderMisuse,
     TimingImportsOutsideTimer,
 )
 
@@ -23,16 +20,11 @@ def project_violations(sources, rule_id, external=()):
 
 def test_rule_classes_registered_under_expected_ids():
     assert isinstance(get_rule("R101"), InterproceduralParameterValidation)
-    assert isinstance(get_rule("R102"), TemporalOrderMisuse)
-    assert isinstance(get_rule("R103"), ComplexityBudget)
     assert isinstance(get_rule("R104"), DeadExports)
-    assert isinstance(get_rule("R105"), SketchMergeCompatibility)
     assert isinstance(get_rule("R106"), TimingImportsOutsideTimer)
-    for rule_id in ("R101", "R104", "R105", "R106"):
+    for rule_id in ("R101", "R104", "R106"):
         assert isinstance(get_rule(rule_id), ProjectRule)
         assert get_rule(rule_id).project_scope
-    for rule_id in ("R102", "R103"):
-        assert not get_rule(rule_id).project_scope
 
 
 # ----------------------------------------------------------------------
@@ -57,7 +49,25 @@ def check_window(window):
 """
 
 
+UNVALIDATED_CONSTRUCTOR = """
+class Index:
+    def __init__(self, window, precision=9):
+        self.window = window
+        self.precision = precision
+"""
+
+
 class TestR101:
+    def test_unvalidated_constructor_parameters_flagged(self):
+        # A public ``window`` neither validated nor forwarded, beside a
+        # defaulted ``precision``: each parameter is reported once.
+        sources = {"pkg/index.py": UNVALIDATED_CONSTRUCTOR}
+        violations = project_violations(sources, "R101")
+        assert len(violations) == 2
+        messages = " ".join(v.message for v in violations)
+        assert "'window' of Index.__init__()" in messages
+        assert "'precision' of Index.__init__()" in messages
+
     def test_unvalidated_public_parameter_flagged(self):
         sources = {"pkg/algo.py": "def run(window):\n    return window + 1\n"}
         violations = project_violations(sources, "R101")
@@ -135,123 +145,6 @@ class TestR101:
 
 
 # ----------------------------------------------------------------------
-# R102 — temporal-order misuse
-# ----------------------------------------------------------------------
-
-
-class TestR102:
-    def lint(self, source):
-        return lint_source(source, rules=[get_rule("R102")])
-
-    def test_set_iteration_into_process_time(self):
-        violations = self.lint(
-            "def feed(state, times):\n"
-            "    for t in set(times):\n"
-            "        state.process('a', 'b', t)\n"
-        )
-        assert len(violations) == 1
-        assert "set(...)" in violations[0].message
-
-    def test_dict_values_into_time_keyword(self):
-        violations = self.lint(
-            "def feed(state, stamps):\n"
-            "    for t in stamps.values():\n"
-            "        state.process('a', 'b', time=t)\n"
-        )
-        assert len(violations) == 1
-        assert ".values()" in violations[0].message
-
-    def test_sorted_cleanses_the_taint(self):
-        assert (
-            self.lint(
-                "def feed(state, times):\n"
-                "    for t in sorted(set(times)):\n"
-                "        state.process('a', 'b', t)\n"
-            )
-            == []
-        )
-
-    def test_reassignment_clears_taint(self):
-        assert (
-            self.lint(
-                "def feed(state, times):\n"
-                "    t = set(times)\n"
-                "    t = 5\n"
-                "    state.process('a', 'b', t)\n"
-            )
-            == []
-        )
-
-    def test_non_time_arguments_are_ignored(self):
-        assert (
-            self.lint(
-                "def feed(state, times):\n"
-                "    for t in set(times):\n"
-                "        state.process(t, 'b', 0)\n"
-            )
-            == []
-        )
-
-
-# ----------------------------------------------------------------------
-# R103 — complexity budget
-# ----------------------------------------------------------------------
-
-
-class TestR103:
-    def lint(self, source):
-        return lint_source(source, rules=[get_rule("R103")])
-
-    def test_unannotated_nested_loops_flagged(self):
-        violations = self.lint(
-            "def scan(rows):\n"
-            "    total = 0\n"
-            "    for row in rows:\n"
-            "        for item in row:\n"
-            "            total += item\n"
-            "    return total\n"
-        )
-        assert len(violations) == 1
-        assert "budget" in violations[0].message
-
-    def test_budget_on_outer_loop_line_accepted(self):
-        assert (
-            self.lint(
-                "def scan(rows):\n"
-                "    for row in rows:  # repro-lint: budget=O(n*m)\n"
-                "        for item in row:\n"
-                "            print(item)\n"
-            )
-            == []
-        )
-
-    def test_budget_on_preceding_line_accepted(self):
-        assert (
-            self.lint(
-                "def scan(rows):\n"
-                "    # repro-lint: budget=O(n*m)\n"
-                "    for row in rows:\n"
-                "        for item in row:\n"
-                "            print(item)\n"
-            )
-            == []
-        )
-
-    def test_single_loops_and_nested_defs_not_flagged(self):
-        assert (
-            self.lint(
-                "def scan(rows):\n"
-                "    for row in rows:\n"
-                "        def handle(row):\n"
-                "            for item in row:\n"
-                "                print(item)\n"
-                "        handle(row)\n"
-            )
-            == []
-        )
-
-
-# ----------------------------------------------------------------------
 # R104 — dead exports
 # ----------------------------------------------------------------------
 
@@ -284,119 +177,6 @@ class TestR104:
         sources["pkg/__init__.py"] = "from pkg.mod import unused\n"
         violations = project_violations(sources, "R104")
         assert [v.message.split("'")[1] for v in violations] == ["unused"]
-
-
-# ----------------------------------------------------------------------
-# R105 — sketch merge compatibility
-# ----------------------------------------------------------------------
-
-SKETCH = """
-class Sketch:
-    def __init__(self, precision: int = 9, salt: int = 0):
-        self._precision = precision
-        self._salt = salt
-
-    def merge(self, other):
-        pass
-
-    def merge_within(self, other, start_time, window):
-        pass
-"""
-
-
-def r105_user(body):
-    return {"src/repro/sketch/lib.py": SKETCH, "src/repro/core/user.py": body}
-
-
-class TestR105:
-    def test_equal_constructions_accepted(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(precision=9)\n"
-            "    b = Sketch(precision=9)\n"
-            "    a.merge(b)\n"
-            "    return a\n"
-        )
-        assert project_violations(sources, "R105") == []
-
-    def test_differing_precision_flagged(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(precision=9)\n"
-            "    b = Sketch(precision=12)\n"
-            "    a.merge(b)\n"
-            "    return a\n"
-        )
-        violations = project_violations(sources, "R105")
-        assert len(violations) == 1
-        assert "differing constructor configuration" in violations[0].message
-
-    def test_default_arguments_participate_in_the_config(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(9, 1)\n"
-            "    b = Sketch(9)\n"
-            "    a.merge_within(b, 0, 5)\n"
-            "    return a\n"
-        )
-        violations = project_violations(sources, "R105")
-        assert len(violations) == 1
-        assert "salt" in violations[0].message
-
-    def test_single_class_pool_construction_is_proof(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "class Pool:\n"
-            "    def __init__(self, precision: int):\n"
-            "        self._precision = precision\n"
-            "\n"
-            "    def fresh(self) -> Sketch:\n"
-            "        return Sketch(self._precision, 0)\n"
-            "\n"
-            "    def fold(self, target: Sketch, source: Sketch):\n"
-            "        target.merge(source)\n"
-        )
-        assert project_violations(sources, "R105") == []
-
-    def test_mixed_class_pool_cannot_prove(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "class Pool:\n"
-            "    def __init__(self, precision: int):\n"
-            "        self._precision = precision\n"
-            "\n"
-            "    def fresh(self) -> Sketch:\n"
-            "        return Sketch(self._precision, 0)\n"
-            "\n"
-            "    def spare(self) -> Sketch:\n"
-            "        return Sketch(4, 0)\n"
-            "\n"
-            "    def fold(self, target: Sketch, source: Sketch):\n"
-            "        target.merge(source)\n"
-        )
-        violations = project_violations(sources, "R105")
-        assert len(violations) == 1
-        assert "cannot prove" in violations[0].message
-
-    def test_suppression_comment_silences_the_site(self):
-        sources = r105_user(
-            "from repro.sketch.lib import Sketch\n"
-            "\n"
-            "def combine():\n"
-            "    a = Sketch(precision=9)\n"
-            "    b = Sketch(precision=12)\n"
-            "    a.merge(b)  # repro-lint: disable=R105\n"
-            "    return a\n"
-        )
-        assert project_violations(sources, "R105") == []
 
 
 # ----------------------------------------------------------------------

@@ -135,8 +135,8 @@ def sample_violations():
             path="src/repro/core/approx.py",
             line=3,
             col=0,
-            rule_id="R103",
-            message="nested loops",
+            rule_id="R104",
+            message="dead export",
         ),
     ]
 

@@ -1,14 +1,9 @@
 """Seeded ABBA deadlock: two locks acquired in opposite orders.
 
-This module is deliberately buggy.  It serves as the shared fixture for
-both halves of the concurrency tooling:
-
-* the **static** half: rule R202 must flag both methods when the source
-  is linted (``tests/lint/test_concurrency_rules.py``);
-* the **runtime** half: with the lock sanitizer enabled
-  (``REPRO_DEBUG_LOCKS=1`` / ``locktrace.enable()``), running
-  ``forward()`` then ``backward()`` must record a lock-order cycle
-  (``tests/obs/test_locktrace.py``).
+This module is deliberately buggy.  With the lock sanitizer enabled
+(``REPRO_DEBUG_LOCKS=1`` / ``locktrace.enable()``), running
+``forward()`` then ``backward()`` must record a lock-order cycle
+(``tests/obs/test_locktrace.py``).
 
 Construct :class:`Pair` *after* enabling the sanitizer so its locks are
 created by the patched factories.

@@ -20,7 +20,7 @@ from repro.obs.locktrace import (
     locks_enabled,
     report,
 )
-from tests.lint.fixtures import deadlock_abba
+from tests.obs.fixtures import deadlock_abba
 
 
 @pytest.fixture
@@ -87,7 +87,7 @@ def test_enable_disable_round_trip(sanitizer):
 
 
 # ----------------------------------------------------------------------
-# the seeded ABBA fixture, dynamic half (static half: R202 tests)
+# the seeded ABBA fixture
 # ----------------------------------------------------------------------
 
 

@@ -38,6 +38,8 @@ class TestBottomK:
     def test_merge_rejects_mismatch(self):
         with pytest.raises(ValueError):
             BottomK(k=8).merge(BottomK(k=16))
+        with pytest.raises(ValueError, match=r"different \(k, salt\)"):
+            BottomK(k=8, salt=0).merge(BottomK(k=8, salt=1))
         with pytest.raises(TypeError):
             BottomK(k=8).merge(object())
 
@@ -146,6 +148,11 @@ class TestVersionedBottomK:
             sketch.merge_within(VersionedBottomK(k=8), 0.5, 3)
         with pytest.raises(ValueError):
             sketch.merge(VersionedBottomK(k=16))
+        with pytest.raises(ValueError, match=r"different \(k, salt\)"):
+            sketch.merge(VersionedBottomK(k=8, salt=1))
+        for other in (VersionedBottomK(k=16), VersionedBottomK(k=8, salt=1)):
+            with pytest.raises(ValueError, match=r"different \(k, salt\)"):
+                sketch.merge_within(other, 0, 5)
 
 
 class TestBottomKIRS:

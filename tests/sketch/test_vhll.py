@@ -245,6 +245,11 @@ class TestMerge:
     def test_merge_rejects_mismatch(self):
         with pytest.raises(ValueError):
             VersionedHLL(precision=2).merge(VersionedHLL(precision=3))
+        with pytest.raises(ValueError, match="different precision/salt"):
+            VersionedHLL(precision=2, salt=0).merge(VersionedHLL(precision=2, salt=1))
+        for other in (VersionedHLL(precision=3), VersionedHLL(precision=2, salt=1)):
+            with pytest.raises(ValueError, match="different precision/salt"):
+                VersionedHLL(precision=2).merge_within(other, 0, 5)
         with pytest.raises(TypeError):
             VersionedHLL(precision=2).merge(object())
 
