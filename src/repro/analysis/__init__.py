@@ -1,18 +1,7 @@
 """Experiment harness, metrics, and memory accounting for the paper's
 tables and figures."""
 
-from repro.analysis.experiments import (
-    ALL_METHODS,
-    accuracy_experiment,
-    dataset_characteristics,
-    memory_experiment,
-    oracle_query_experiment,
-    runtime_experiment,
-    seed_overlap_experiment,
-    seed_time_experiment,
-    select_seeds,
-    spread_comparison,
-)
+from repro.analysis.experiments import ALL_METHODS, select_seeds
 from repro.analysis.memory import (
     EXACT_ENTRY_BYTES,
     SKETCH_ENTRY_BYTES,
@@ -30,14 +19,6 @@ from repro.analysis.metrics import (
 __all__ = [
     "ALL_METHODS",
     "select_seeds",
-    "dataset_characteristics",
-    "accuracy_experiment",
-    "memory_experiment",
-    "runtime_experiment",
-    "oracle_query_experiment",
-    "spread_comparison",
-    "seed_overlap_experiment",
-    "seed_time_experiment",
     "accounted_bytes",
     "deep_size",
     "megabytes",

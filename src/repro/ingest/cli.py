@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from typing import TextIO
 
 from repro.ingest.tail import DEFAULT_BATCH, HttpIngestClient, tail_file
 
@@ -85,7 +86,7 @@ def add_ingest_parser(commands: argparse._SubParsersAction) -> None:
     )
 
 
-def command_ingest(args: argparse.Namespace, out) -> int:
+def command_ingest(args: argparse.Namespace, out: TextIO) -> int:
     """Dispatch an ``ingest`` invocation; returns a process exit code."""
     if args.ingest_command == "tail":
         client = HttpIngestClient(args.url, timeout=args.timeout)

@@ -300,6 +300,7 @@ class LiveIndex:
 
     def apply(self, source: Node, target: Node, time: int) -> IngestResult:
         """Apply one interaction (see :meth:`apply_events`)."""
+        require_int(time, "time")
         return self.apply_events([(source, target, time)])
 
     def _apply_locked(self, source: Node, target: Node, time: int) -> None:

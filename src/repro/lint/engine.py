@@ -45,22 +45,6 @@ __all__ = [
     "lint_project_sources",
 ]
 
-#: Sub-packages of ``repro`` that rule scopes refer to.
-KNOWN_SUBPACKAGES = frozenset(
-    {
-        "core",
-        "sketch",
-        "simulation",
-        "baselines",
-        "datasets",
-        "analysis",
-        "utils",
-        "lint",
-        "obs",
-        "serve",
-    }
-)
-
 #: Directories next to ``src`` whose identifiers count as external
 #: references for liveness rules (R104).
 REFERENCE_ROOT_NAMES = ("tests", "examples")
@@ -147,9 +131,7 @@ def _infer_subpackage(path: Path) -> Optional[str]:
     for i in range(len(parts) - 1, -1, -1):
         if parts[i] == "repro":
             remainder = parts[i + 1 : -1]
-            if remainder and remainder[0] in KNOWN_SUBPACKAGES:
-                return remainder[0]
-            return ""
+            return remainder[0] if remainder else ""
     return None
 
 

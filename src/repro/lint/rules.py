@@ -40,8 +40,10 @@ __all__ = [
     "NoDirectTimingCalls",
 ]
 
-ALGORITHM_SCOPES = frozenset({"core", "sketch", "simulation", "baselines", "serve"})
-TYPED_SCOPES = frozenset({"core", "sketch", "serve"})
+ALGORITHM_SCOPES = frozenset(
+    {"core", "sketch", "simulation", "baselines", "serve", "ingest"}
+)
+TYPED_SCOPES = frozenset({"core", "sketch", "serve", "ingest"})
 
 
 class Rule:
@@ -494,9 +496,9 @@ class PublicApiFullyAnnotated(Rule):
     rule_id = "R004"
     name = "public-api-fully-annotated"
     description = (
-        "Every public function (and __init__) in repro.core and repro.sketch "
-        "must annotate all parameters and its return type so the mypy gate "
-        "covers the whole algorithmic surface."
+        "Every public function (and __init__) in repro.core, repro.sketch, "
+        "repro.serve and repro.ingest must annotate all parameters and its "
+        "return type so the mypy gate covers the whole algorithmic surface."
     )
     scopes = TYPED_SCOPES
 

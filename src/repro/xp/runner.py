@@ -29,23 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
-from repro.analysis.experiments import (
-    accuracy_experiment,
-    cross_judge_experiment,
-    dataset_characteristics,
-    exact_vs_sketch_ablation,
-    memory_experiment,
-    multiwindow_ablation,
-    oracle_query_experiment,
-    runtime_experiment,
-    seed_overlap_experiment,
-    select_seeds,
-    selector_ablation,
-    sketch_backend_ablation,
-    spread_comparison,
-    tcic_judge_ablation,
-    vhll_list_ablation,
-)
 from repro.core.interactions import InteractionLog
 from repro.datasets.catalog import load_dataset
 from repro.utils.provenance import code_fingerprint
@@ -72,207 +55,6 @@ def _dataset(cell: Cell) -> InteractionLog:
             log = load_dataset(cell.dataset, rng=cell.dataset_rng, scale=cell.scale)
             _DATASET_CACHE[cache_key] = log
     return log
-
-
-# ---------------------------------------------------------------------------
-# Per-experiment adapters: Cell -> metric rows
-# ---------------------------------------------------------------------------
-# Each adapter runs exactly one cell's worth of computation and returns
-# rows containing only the metric + group columns declared by the
-# experiment's ExperimentDef (cell identity lives in the params, not in
-# the rows).
-
-def _declared(cell: Cell, rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Keep only the group and metric columns ``cell``'s experiment declares."""
-    definition = EXPERIMENTS[cell.experiment]
-    columns = list(definition.group_columns) + [metric for metric, _ in definition.metrics]
-    return [{column: row[column] for column in columns} for row in rows]
-
-
-def _run_datasets(cell: Cell) -> List[Dict[str, object]]:
-    rows = dataset_characteristics([cell.dataset], rng=cell.dataset_rng, scale=cell.scale)
-    return [
-        {"nodes": row["nodes"], "interactions": row["interactions"], "span_ticks": row["span_ticks"]}
-        for row in rows
-    ]
-
-
-def _run_accuracy(cell: Cell) -> List[Dict[str, object]]:
-    extra = dict(cell.extra)
-    rows = accuracy_experiment(
-        _dataset(cell),
-        cell.dataset,
-        betas=tuple(extra["betas"]),  # type: ignore[arg-type]
-        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
-        salt=cell.seed or 0,
-    )
-    return _declared(cell, rows)
-
-
-def _run_memory(cell: Cell) -> List[Dict[str, object]]:
-    rows = memory_experiment(
-        {cell.dataset: _dataset(cell)},
-        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-    )
-    (row,) = rows
-    (megabytes,) = [value for key, value in row.items() if key.startswith("mb_at_")]
-    return [{"megabytes": megabytes}]
-
-
-def _run_runtime(cell: Cell) -> List[Dict[str, object]]:
-    rows = runtime_experiment(
-        {cell.dataset: _dataset(cell)},
-        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-    )
-    return _declared(cell, rows)
-
-
-def _run_query(cell: Cell) -> List[Dict[str, object]]:
-    extra = dict(cell.extra)
-    rows = oracle_query_experiment(
-        _dataset(cell),
-        cell.dataset,
-        seed_counts=tuple(extra["seed_counts"]),  # type: ignore[arg-type]
-        window_percent=float(extra["window_percent"]),  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-        repetitions=int(extra["repetitions"]),  # type: ignore[arg-type]
-        rng=cell.seed or 0,
-    )
-    return _declared(cell, rows)
-
-
-def _run_spread(cell: Cell) -> List[Dict[str, object]]:
-    extra = dict(cell.extra)
-    rows = spread_comparison(
-        _dataset(cell),
-        cell.dataset,
-        ks=tuple(extra["ks"]),  # type: ignore[arg-type]
-        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
-        probabilities=tuple(extra["probabilities"]),  # type: ignore[arg-type]
-        methods=(cell.method,),  # type: ignore[arg-type]
-        runs=int(extra["runs"]),  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-        rng=cell.seed or 0,
-    )
-    return _declared(cell, rows)
-
-
-def _run_overlap(cell: Cell) -> List[Dict[str, object]]:
-    extra = dict(cell.extra)
-    window_percents = tuple(extra["window_percents"])  # type: ignore[arg-type]
-    rows = seed_overlap_experiment(
-        {cell.dataset: _dataset(cell)},
-        window_percents=window_percents,
-        k=int(extra["k"]),  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-    )
-    (row,) = rows
-    out = []
-    for i, first in enumerate(window_percents):
-        for second in window_percents[i + 1 :]:
-            out.append(
-                {
-                    "pair": f"{first:g}-{second:g}",
-                    "common": row[f"common_{first:g}pct_{second:g}pct"],
-                }
-            )
-    return out
-
-
-def _run_seed_time(cell: Cell) -> List[Dict[str, object]]:
-    extra = dict(cell.extra)
-    log = _dataset(cell)
-    window = log.window_from_percent(cell.window_pct)  # type: ignore[arg-type]
-    with obs.span("xp.seed_time", dataset=cell.dataset, method=cell.method):
-        with Timer() as timer:
-            select_seeds(
-                log,
-                cell.method,  # type: ignore[arg-type]
-                int(extra["k"]),  # type: ignore[arg-type]
-                window,
-                precision=cell.precision or 9,
-                rng=cell.seed or 0,
-            )
-    return [{"seconds": timer.elapsed}]
-
-
-def _run_selectors(cell: Cell) -> List[Dict[str, object]]:
-    rows = selector_ablation(
-        _dataset(cell),
-        window_percent=cell.window_pct,  # type: ignore[arg-type]
-    )
-    return _declared(cell, rows)
-
-
-def _run_vhll_lists(cell: Cell) -> List[Dict[str, object]]:
-    rows = vhll_list_ablation(
-        _dataset(cell),
-        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-    )
-    return _declared(cell, rows)
-
-
-def _run_exact_vs_sketch(cell: Cell) -> List[Dict[str, object]]:
-    rows = exact_vs_sketch_ablation(
-        _dataset(cell),
-        window_percent=cell.window_pct,  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-    )
-    return _declared(cell, rows)
-
-
-def _run_sketch_backends(cell: Cell) -> List[Dict[str, object]]:
-    rows = sketch_backend_ablation(
-        _dataset(cell),
-        window_percents=(cell.window_pct,),  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-    )
-    return _declared(cell, rows)
-
-
-def _run_multiwindow(cell: Cell) -> List[Dict[str, object]]:
-    return _declared(cell, multiwindow_ablation(_dataset(cell)))
-
-
-def _run_tcic_judges(cell: Cell) -> List[Dict[str, object]]:
-    rows = tcic_judge_ablation(
-        _dataset(cell),
-        window_percent=cell.window_pct,  # type: ignore[arg-type]
-    )
-    return _declared(cell, rows)
-
-
-def _run_cross_judge(cell: Cell) -> List[Dict[str, object]]:
-    rows = cross_judge_experiment(
-        _dataset(cell),
-        methods=(cell.method,),  # type: ignore[arg-type]
-        window_percent=cell.window_pct,  # type: ignore[arg-type]
-        precision=cell.precision,  # type: ignore[arg-type]
-        rng=cell.seed or 0,
-    )
-    return _declared(cell, rows)
-
-
-_ADAPTERS: Dict[str, Callable[[Cell], List[Dict[str, object]]]] = {
-    "datasets": _run_datasets,
-    "accuracy": _run_accuracy,
-    "memory": _run_memory,
-    "runtime": _run_runtime,
-    "query": _run_query,
-    "spread": _run_spread,
-    "overlap": _run_overlap,
-    "seed_time": _run_seed_time,
-    "selectors": _run_selectors,
-    "vhll_lists": _run_vhll_lists,
-    "exact_vs_sketch": _run_exact_vs_sketch,
-    "sketch_backends": _run_sketch_backends,
-    "multiwindow": _run_multiwindow,
-    "tcic_judges": _run_tcic_judges,
-    "cross_judge": _run_cross_judge,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +94,18 @@ def _capture_obs(run: Callable[[], List[Dict[str, object]]]):
 
 def execute_cell(cell: Cell, capture_obs: bool = True) -> Dict[str, object]:
     """Execute one cell and return its (unsaved) ``repro-xp/1`` document."""
-    adapter = _ADAPTERS.get(cell.experiment)
-    if adapter is None:
-        raise ValueError(f"no adapter for experiment {cell.experiment!r}")
+    definition = EXPERIMENTS.get(cell.experiment)
+    if definition is None:
+        raise ValueError(f"unknown experiment {cell.experiment!r}")
+
+    def run() -> List[Dict[str, object]]:
+        return definition.run(_dataset(cell), cell)
+
     with Timer() as timer:
         if capture_obs:
-            rows, obs_payload = _capture_obs(lambda: adapter(cell))
+            rows, obs_payload = _capture_obs(run)
         else:
-            rows, obs_payload = adapter(cell), None
+            rows, obs_payload = run(), None
     return cell_result_document(
         key=cell.key(),
         experiment=cell.experiment,

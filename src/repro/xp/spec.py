@@ -22,8 +22,11 @@ cartesian product over the axes that experiment actually uses, in
 declaration order — deterministic, so a spec always produces the same
 cell list and the same cell keys.  Axes an experiment does not use must
 not be declared (validation rejects them: a silently-ignored axis is how
-grids drift).  Missing applicable axes fall back to the canonical paper
-grid (:mod:`repro.analysis.grid`).
+grids drift).  A missing ``methods`` axis falls back to the experiment's
+default panel, the other missing axes to windows 1/10/20 %, precision 9
+and seed 0.  Each :class:`ExperimentDef` names the function that computes
+one of its cells (:mod:`repro.analysis.experiments`), so an experiment is
+declared once.
 
 Specs load from JSON or TOML files (suffix-dispatch) or by built-in
 name: ``paper`` (the full Table 2–6 / Figure 3–5 matrix, the A1–A6
@@ -36,10 +39,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis import grid
-from repro.analysis.experiments import ALL_METHODS, CROSS_JUDGE_METHODS, EXTRA_METHODS
+from repro.analysis import experiments
+from repro.analysis.experiments import ALL_METHODS, EXTRA_METHODS
+from repro.core.interactions import InteractionLog
 from repro.datasets.catalog import dataset_names
 
 __all__ = [
@@ -69,6 +73,18 @@ _AXIS_KEYS = {
 
 _KNOWN_METHODS = tuple(ALL_METHODS) + tuple(EXTRA_METHODS)
 
+#: Values of an applicable axis that a block leaves out (``method`` falls
+#: back to the experiment's ``default_methods``): Tables 3–5's window
+#: lengths in % of the span, the paper's β = 2⁹ = 512, one replicate.
+_AXIS_FALLBACK: Dict[str, Tuple[object, ...]] = {
+    "window_pct": (1, 10, 20),
+    "precision": (9,),
+    "seed": (0,),
+}
+
+#: The four datasets small enough for exact-index experiments.
+_SMALL_DATASETS = ("enron-sim", "lkml-sim", "facebook-sim", "slashdot-sim")
+
 
 @dataclass(frozen=True)
 class ExperimentDef:
@@ -76,6 +92,9 @@ class ExperimentDef:
 
     name: str
     artifact: str
+    #: Computes one cell: ``run(log, cell)`` returns rows holding exactly
+    #: the ``group_columns`` and ``metrics`` columns below.
+    run: Callable[[InteractionLog, Cell], List[Dict[str, object]]]
     #: Axes (beyond dataset) whose values vary the computation.
     axes: Tuple[str, ...]
     #: Numeric row columns the report/diff layer compares, with direction
@@ -102,6 +121,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="datasets",
             artifact="Table 2",
+            run=experiments.datasets_cell,
             axes=(),
             metrics=(),
             group_columns=(),
@@ -110,15 +130,18 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="accuracy",
             artifact="Table 3",
+            run=experiments.accuracy_cell,
             axes=("window_pct", "seed"),
             metrics=(("avg_rel_error", "lower"),),
             group_columns=("beta",),
-            default_datasets=grid.ACCURACY_DATASETS,
-            default_params={"betas": list(grid.BETAS)},
+            # Table 3 runs where the exact index fits in memory.
+            default_datasets=("higgs-sim", "slashdot-sim"),
+            default_params={"betas": [16, 32, 64, 128, 256, 512]},
         ),
         ExperimentDef(
             name="memory",
             artifact="Table 4",
+            run=experiments.memory_cell,
             axes=("window_pct", "precision"),
             metrics=(("megabytes", "lower"),),
             group_columns=(),
@@ -127,6 +150,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="runtime",
             artifact="Figure 3",
+            run=experiments.runtime_cell,
             axes=("window_pct", "precision", "seed"),
             metrics=(("seconds", "lower"),),
             group_columns=(),
@@ -135,55 +159,64 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="query",
             artifact="Figure 4",
+            run=experiments.query_cell,
             axes=("precision", "seed"),
             metrics=(("milliseconds", "lower"),),
             group_columns=("num_seeds",),
-            default_datasets=grid.QUERY_DATASETS,
+            # Figure 4 contrasts the smallest and largest graphs at ω = 20 %.
+            default_datasets=("slashdot-sim", "us2016-sim"),
             default_params={
-                "seed_counts": list(grid.SEED_COUNTS),
-                "window_percent": grid.QUERY_WINDOW_PERCENT,
+                "seed_counts": [10, 100, 1_000, 5_000, 10_000],
+                "window_percent": 20,
                 "repetitions": 3,
             },
         ),
         ExperimentDef(
             name="spread",
             artifact="Figure 5",
+            run=experiments.spread_cell,
             axes=("window_pct", "precision", "method", "seed"),
             metrics=(("spread", "higher"),),
             group_columns=("k", "probability"),
-            default_datasets=grid.SPREAD_DATASETS,
-            default_methods=tuple(grid.SPREAD_METHODS),
+            default_datasets=("lkml-sim", "enron-sim", "facebook-sim"),
+            default_methods=ALL_METHODS,
+            # ks: a pure-Python subset of the paper's 5..50 in steps of 5
+            # (prefixes of one nested greedy list either way).
             default_params={
-                "ks": list(grid.SPREAD_KS),
-                "probabilities": list(grid.SPREAD_PROBABILITIES),
+                "ks": [5, 15, 30, 50],
+                "probabilities": [0.5, 1.0],
                 "runs": 3,
             },
         ),
         ExperimentDef(
             name="overlap",
             artifact="Table 5",
+            run=experiments.overlap_cell,
             axes=("precision",),
             metrics=(("common", "higher"),),
             group_columns=("pair",),
             default_datasets=tuple(dataset_names()),
             default_params={
-                "window_percents": list(grid.WINDOW_PERCENTS),
-                "k": grid.OVERLAP_K,
+                "window_percents": list(_AXIS_FALLBACK["window_pct"]),
+                "k": 10,
             },
         ),
         ExperimentDef(
             name="seed_time",
             artifact="Table 6",
+            run=experiments.seed_time_cell,
             axes=("window_pct", "precision", "method", "seed"),
             metrics=(("seconds", "lower"),),
             group_columns=(),
-            default_datasets=grid.SMALL_DATASETS,
-            default_methods=tuple(grid.SEED_TIME_METHODS),
-            default_params={"k": grid.SEED_TIME_K},
+            default_datasets=_SMALL_DATASETS,
+            # Table 6 times the approx IRS variant only.
+            default_methods=("IRS-approx", "SKIM", "PR", "HD", "SHD", "CTE"),
+            default_params={"k": 50},
         ),
         ExperimentDef(
             name="selectors",
             artifact="Ablation A1",
+            run=experiments.selectors_cell,
             axes=("window_pct", "seed"),
             metrics=(
                 ("oracle_spread", "higher"),
@@ -196,14 +229,16 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="vhll_lists",
             artifact="Ablation A2",
+            run=experiments.vhll_lists_cell,
             axes=("window_pct", "precision"),
             metrics=(("max_cell_list", "lower"),),
             group_columns=("lemma4_bound",),
-            default_datasets=grid.SMALL_DATASETS,
+            default_datasets=_SMALL_DATASETS,
         ),
         ExperimentDef(
             name="exact_vs_sketch",
             artifact="Ablation A3",
+            run=experiments.exact_vs_sketch_cell,
             axes=("window_pct", "precision", "seed"),
             metrics=(
                 ("exact_s", "lower"),
@@ -214,11 +249,12 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
                 ("sketch_entries", "lower"),
             ),
             group_columns=(),
-            default_datasets=grid.SMALL_DATASETS,
+            default_datasets=_SMALL_DATASETS,
         ),
         ExperimentDef(
             name="sketch_backends",
             artifact="Ablation A4",
+            run=experiments.sketch_backends_cell,
             axes=("window_pct", "precision"),
             metrics=(
                 ("vhll_err", "lower"),
@@ -232,6 +268,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="multiwindow",
             artifact="Ablation A5",
+            run=experiments.multiwindow_cell,
             axes=("seed",),
             metrics=(
                 ("multi_s", "lower"),
@@ -245,6 +282,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="tcic_judges",
             artifact="Ablation A6",
+            run=experiments.tcic_judges_cell,
             axes=("window_pct",),
             metrics=(("literal_spread", "higher"), ("prose_spread", "higher")),
             group_columns=(),
@@ -253,11 +291,12 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {
         ExperimentDef(
             name="cross_judge",
             artifact="Cross-judge (TCIC vs TCLT)",
+            run=experiments.cross_judge_cell,
             axes=("window_pct", "precision", "method", "seed"),
             metrics=(("tcic_spread", "higher"), ("tclt_spread", "higher")),
             group_columns=(),
             default_datasets=("enron-sim", "facebook-sim"),
-            default_methods=CROSS_JUDGE_METHODS,
+            default_methods=("PR", "HD", "SHD", "IRS", "IRS-approx"),
         ),
     )
 }
@@ -433,13 +472,9 @@ class MatrixSpec:
         declared = getattr(block, _AXIS_KEYS[axis])
         if declared:
             return declared
-        if axis == "window_pct":
-            return grid.WINDOW_PERCENTS
-        if axis == "precision":
-            return (grid.DEFAULT_PRECISION,)
         if axis == "method":
             return definition.default_methods
-        return (0,)  # seed
+        return _AXIS_FALLBACK[axis]
 
 
 def _merged_params(block: Block, definition: ExperimentDef) -> Tuple[Tuple[str, object], ...]:
@@ -596,86 +631,71 @@ def spec_from_dict(raw: Mapping[str, object]) -> MatrixSpec:
 
 
 def paper_spec(scale: float = 1.0, seeds: Sequence[int] = (0, 1, 2)) -> MatrixSpec:
-    """The full paper matrix (Tables 2–6, Figures 3–5) on the shared grid,
-    plus the A1–A6 ablations and the cross-judge check.
+    """The full paper matrix (Tables 2–6, Figures 3–5), plus the A1–A6
+    ablations and the cross-judge check.
 
     ``seeds`` controls the replicate count of every experiment with a
     seed axis — three replicates is the floor for the rank-based
     significance tests to have any resolution.
     """
     seed_list = list(seeds)
+    windows = list(_AXIS_FALLBACK["window_pct"])
+    precisions = list(_AXIS_FALLBACK["precision"])
     return spec_from_dict(
         {
             "name": "paper",
             "scale": scale,
             "blocks": [
                 {"experiment": "datasets"},
-                {
-                    "experiment": "accuracy",
-                    "window_percents": list(grid.WINDOW_PERCENTS),
-                    "seeds": seed_list,
-                },
-                {
-                    "experiment": "memory",
-                    "window_percents": list(grid.WINDOW_PERCENTS),
-                    "precisions": [grid.DEFAULT_PRECISION],
-                },
+                {"experiment": "accuracy", "window_percents": windows, "seeds": seed_list},
+                {"experiment": "memory", "window_percents": windows, "precisions": precisions},
                 {
                     "experiment": "runtime",
-                    "window_percents": list(grid.WINDOW_SWEEP),
-                    "precisions": [grid.DEFAULT_PRECISION],
+                    # Figure 3's full window sweep.
+                    "window_percents": [1, 5, 10, 20, 40, 60, 80, 100],
+                    "precisions": precisions,
                     "seeds": seed_list,
                 },
-                {
-                    "experiment": "query",
-                    "precisions": [grid.DEFAULT_PRECISION],
-                    "seeds": seed_list,
-                },
+                {"experiment": "query", "precisions": precisions, "seeds": seed_list},
                 {
                     "experiment": "spread",
-                    "window_percents": list(grid.SPREAD_WINDOW_PERCENTS),
-                    "precisions": [grid.DEFAULT_PRECISION],
-                    "methods": list(grid.SPREAD_METHODS),
+                    # Figure 5 contrasts a short and a long window.
+                    "window_percents": [1, 20],
+                    "precisions": precisions,
+                    "methods": list(ALL_METHODS),
                     "seeds": seed_list,
                 },
-                {
-                    "experiment": "overlap",
-                    "precisions": [grid.DEFAULT_PRECISION],
-                },
+                {"experiment": "overlap", "precisions": precisions},
                 {
                     "experiment": "seed_time",
-                    "window_percents": [grid.SEED_TIME_WINDOW_PERCENT],
-                    "precisions": [grid.DEFAULT_PRECISION],
-                    "methods": list(grid.SEED_TIME_METHODS),
+                    "window_percents": [1],
+                    "precisions": precisions,
+                    "methods": list(EXPERIMENTS["seed_time"].default_methods),
                     "seeds": seed_list,
                 },
-                {
-                    "experiment": "selectors",
-                    "window_percents": [10],
-                    "seeds": seed_list,
-                },
+                {"experiment": "selectors", "window_percents": [10], "seeds": seed_list},
                 {
                     "experiment": "vhll_lists",
-                    "window_percents": list(grid.WINDOW_PERCENTS),
-                    "precisions": [grid.DEFAULT_PRECISION],
+                    "window_percents": windows,
+                    "precisions": precisions,
                 },
                 {
                     "experiment": "exact_vs_sketch",
                     "window_percents": [20],
-                    "precisions": [grid.DEFAULT_PRECISION],
+                    "precisions": precisions,
                     "seeds": seed_list,
                 },
                 {
                     "experiment": "sketch_backends",
                     "window_percents": [1, 10],
-                    "precisions": [grid.DEFAULT_PRECISION],
+                    "precisions": precisions,
                 },
                 {"experiment": "multiwindow", "seeds": seed_list},
                 {"experiment": "tcic_judges", "window_percents": [1]},
                 {
                     "experiment": "cross_judge",
                     "window_percents": [1],
-                    "precisions": [grid.DEFAULT_PRECISION],
+                    "precisions": precisions,
                     "seeds": seed_list,
                 },
             ],

@@ -1,32 +1,51 @@
-"""Unit tests for the experiment harness (one per paper table/figure).
+"""Unit tests for the experiment harness (one cell function per paper
+table/figure).
 
-Each harness function is exercised on tiny data: the goal here is row
+Each cell function is exercised on tiny data: the goal here is row
 structure, determinism and basic sanity; the paper's shapes are asserted
 over a whole ``paper`` matrix run in tests/xp/test_paper_shape.py.
 """
 
 import pytest
 
-from repro.analysis import grid
 from repro.analysis.experiments import (
     ALL_METHODS,
     _precision_for,
-    accuracy_experiment,
-    dataset_characteristics,
-    memory_experiment,
-    oracle_query_experiment,
-    runtime_experiment,
-    seed_overlap_experiment,
-    seed_time_experiment,
+    accuracy_cell,
+    datasets_cell,
+    memory_cell,
+    overlap_cell,
+    query_cell,
+    runtime_cell,
+    seed_time_cell,
     select_seeds,
-    spread_comparison,
+    spread_cell,
 )
+from repro.datasets.catalog import load_dataset
 from repro.datasets.generators import email_network
+from repro.xp.spec import EXPERIMENTS, Cell, spec_from_dict
 
 
 @pytest.fixture(scope="module")
 def tiny_log():
     return email_network(40, 400, 2_000, rng=13)
+
+
+def _cell(experiment, window_pct=None, precision=None, method=None, seed=None, **params):
+    """One ``experiment`` cell with its declared default params, overridden
+    by ``params``."""
+    merged = {**EXPERIMENTS[experiment].default_params, **params}
+    return Cell(
+        experiment=experiment,
+        dataset="tiny",
+        window_pct=window_pct,
+        precision=precision,
+        method=method,
+        seed=seed,
+        scale=1.0,
+        dataset_rng=0,
+        extra=tuple(sorted(merged.items())),
+    )
 
 
 class TestSelectSeeds:
@@ -61,8 +80,8 @@ class TestPrecisionFor:
         assert _precision_for(beta) == precision
 
     def test_matches_grid_betas(self):
-        # The canonical Table 3 sweep must all map cleanly.
-        for beta in grid.BETAS:
+        # The declared Table 3 sweep must all map cleanly.
+        for beta in EXPERIMENTS["accuracy"].default_params["betas"]:
             assert 2 ** _precision_for(beta) == beta
 
     @pytest.mark.parametrize("beta", [0, -4, 3, 15, 17, 100])
@@ -73,135 +92,124 @@ class TestPrecisionFor:
 
 class TestDatasetCharacteristics:
     def test_rows_for_requested_names(self):
-        rows = dataset_characteristics(["slashdot-sim"], rng=1, scale=0.1)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["dataset"] == "slashdot-sim"
+        log = load_dataset("slashdot-sim", rng=1, scale=0.1)
+        (row,) = datasets_cell(log, _cell("datasets"))
         assert row["interactions"] == 140
         assert row["nodes"] > 0 and row["span_ticks"] > 0
 
     def test_deterministic_for_fixed_rng(self):
-        first = dataset_characteristics(["enron-sim"], rng=3, scale=0.1)
-        second = dataset_characteristics(["enron-sim"], rng=3, scale=0.1)
+        first = datasets_cell(load_dataset("enron-sim", rng=3, scale=0.1), _cell("datasets"))
+        second = datasets_cell(load_dataset("enron-sim", rng=3, scale=0.1), _cell("datasets"))
         assert first == second
 
     def test_row_column_shape(self):
-        (row,) = dataset_characteristics(["enron-sim"], rng=1, scale=0.1)
-        assert set(row) == {"dataset", "nodes", "interactions", "span_ticks"}
+        log = load_dataset("enron-sim", rng=1, scale=0.1)
+        (row,) = datasets_cell(log, _cell("datasets"))
+        assert list(row) == ["nodes", "interactions", "span_ticks"]
 
 
 class TestGridConsistency:
     def test_grid_betas_are_powers_of_two(self):
-        for beta in grid.BETAS:
+        for beta in EXPERIMENTS["accuracy"].default_params["betas"]:
             assert beta > 0 and beta & (beta - 1) == 0
 
     def test_grid_methods_are_known(self):
-        assert set(grid.SPREAD_METHODS) <= set(ALL_METHODS)
-        assert set(grid.SEED_TIME_METHODS) <= set(ALL_METHODS)
+        for name in ("spread", "seed_time", "cross_judge"):
+            assert set(EXPERIMENTS[name].default_methods) <= set(ALL_METHODS)
 
     def test_default_precision_matches_paper_beta(self):
-        assert 2**grid.DEFAULT_PRECISION == 512
+        spec = spec_from_dict(
+            {"name": "t", "blocks": [{"experiment": "memory", "datasets": ["enron-sim"]}]}
+        )
+        assert {2**cell.precision for cell in spec.cells()} == {512}
 
 
 class TestAccuracyExperiment:
     def test_row_grid(self, tiny_log):
-        rows = accuracy_experiment(
-            tiny_log, "tiny", betas=(16, 64), window_percents=(5, 20)
-        )
-        assert len(rows) == 4
-        assert {row["beta"] for row in rows} == {16, 64}
-        assert all(0 <= row["avg_rel_error"] for row in rows)
+        for window in (5, 20):
+            cell = _cell("accuracy", window_pct=window, seed=0, betas=(16, 64))
+            rows = accuracy_cell(tiny_log, cell)
+            assert [list(row) for row in rows] == [["beta", "avg_rel_error"]] * 2
+            assert [row["beta"] for row in rows] == [16, 64]
+            assert all(0 <= row["avg_rel_error"] for row in rows)
 
     def test_error_generally_falls_with_beta(self, tiny_log):
-        rows = accuracy_experiment(
-            tiny_log, "tiny", betas=(16, 256), window_percents=(20,)
-        )
-        by_beta = {row["beta"]: row["avg_rel_error"] for row in rows}
+        cell = _cell("accuracy", window_pct=20, seed=0, betas=(16, 256))
+        by_beta = {row["beta"]: row["avg_rel_error"] for row in accuracy_cell(tiny_log, cell)}
         assert by_beta[256] <= by_beta[16] + 0.02
 
     def test_rejects_non_power_beta(self, tiny_log):
         with pytest.raises(ValueError):
-            accuracy_experiment(tiny_log, betas=(15,), window_percents=(5,))
+            accuracy_cell(tiny_log, _cell("accuracy", window_pct=5, seed=0, betas=(15,)))
 
 
 class TestMemoryExperiment:
     def test_columns_per_window(self, tiny_log):
-        rows = memory_experiment({"tiny": tiny_log}, window_percents=(1, 10), precision=5)
-        assert len(rows) == 1
-        row = rows[0]
-        assert "mb_at_1pct" in row and "mb_at_10pct" in row
-        assert row["mb_at_10pct"] >= row["mb_at_1pct"] >= 0.0
+        (small,) = memory_cell(tiny_log, _cell("memory", window_pct=1, precision=5))
+        (large,) = memory_cell(tiny_log, _cell("memory", window_pct=10, precision=5))
+        assert list(small) == ["megabytes"]
+        assert large["megabytes"] >= small["megabytes"] >= 0.0
 
 
 class TestRuntimeExperiment:
     def test_rows_and_positive_times(self, tiny_log):
-        rows = runtime_experiment({"tiny": tiny_log}, window_percents=(1, 10), precision=5)
-        assert len(rows) == 2
-        assert all(row["seconds"] > 0 for row in rows)
+        for window in (1, 10):
+            cell = _cell("runtime", window_pct=window, precision=5, seed=0)
+            (row,) = runtime_cell(tiny_log, cell)
+            assert row["seconds"] > 0
 
 
 class TestOracleQueryExperiment:
     def test_rows_per_seed_count(self, tiny_log):
-        rows = oracle_query_experiment(
-            tiny_log, "tiny", seed_counts=(5, 50), precision=5, repetitions=2
-        )
+        cell = _cell("query", precision=5, seed=0, seed_counts=(5, 50), repetitions=2)
+        rows = query_cell(tiny_log, cell)
         assert [row["num_seeds"] for row in rows] == [5, 50]
         assert all(row["milliseconds"] > 0 for row in rows)
 
 
 class TestSpreadComparison:
     def test_grid_of_rows(self, tiny_log):
-        rows = spread_comparison(
-            tiny_log,
-            "tiny",
-            ks=(2, 4),
-            window_percents=(10,),
-            probabilities=(1.0,),
-            methods=("HD", "IRS"),
-            runs=1,
-            precision=5,
-            rng=1,
-        )
-        assert len(rows) == 4  # 2 methods x 2 ks
-        assert all(row["spread"] >= 0 for row in rows)
+        for method in ("HD", "IRS"):
+            cell = _cell(
+                "spread",
+                window_pct=10,
+                precision=5,
+                method=method,
+                seed=1,
+                ks=(2, 4),
+                probabilities=(1.0,),
+                runs=1,
+            )
+            rows = spread_cell(tiny_log, cell)
+            assert [(row["k"], row["probability"]) for row in rows] == [(2, 1.0), (4, 1.0)]
+            assert all(row["spread"] >= 0 for row in rows)
 
     def test_spread_non_decreasing_in_k(self, tiny_log):
-        rows = spread_comparison(
-            tiny_log,
-            "tiny",
-            ks=(2, 6),
-            window_percents=(10,),
-            probabilities=(1.0,),
-            methods=("HD",),
-            runs=1,
+        cell = _cell(
+            "spread",
+            window_pct=10,
             precision=5,
+            method="HD",
+            seed=0,
+            ks=(2, 6),
+            probabilities=(1.0,),
+            runs=1,
         )
-        by_k = {row["k"]: row["spread"] for row in rows}
+        by_k = {row["k"]: row["spread"] for row in spread_cell(tiny_log, cell)}
         assert by_k[6] >= by_k[2]
 
 
 class TestSeedOverlapExperiment:
     def test_pairwise_columns(self, tiny_log):
-        rows = seed_overlap_experiment(
-            {"tiny": tiny_log}, window_percents=(1, 10, 20), k=5, precision=5
-        )
-        row = rows[0]
-        assert set(row) == {
-            "dataset",
-            "common_1pct_10pct",
-            "common_1pct_20pct",
-            "common_10pct_20pct",
-        }
-        for key, value in row.items():
-            if key != "dataset":
-                assert 0 <= value <= 5
+        cell = _cell("overlap", precision=5, window_percents=(1, 10, 20), k=5)
+        rows = overlap_cell(tiny_log, cell)
+        assert [row["pair"] for row in rows] == ["1-10", "1-20", "10-20"]
+        assert all(0 <= row["common"] <= 5 for row in rows)
 
 
 class TestSeedTimeExperiment:
     def test_all_methods_timed(self, tiny_log):
-        rows = seed_time_experiment(
-            {"tiny": tiny_log}, k=3, methods=("HD", "SHD", "IRS-approx"), precision=5
-        )
-        row = rows[0]
-        assert set(row) == {"dataset", "HD", "SHD", "IRS-approx"}
-        assert all(value > 0 for key, value in row.items() if key != "dataset")
+        for method in ("HD", "SHD", "IRS-approx"):
+            cell = _cell("seed_time", window_pct=1, precision=5, method=method, seed=0, k=3)
+            (row,) = seed_time_cell(tiny_log, cell)
+            assert row["seconds"] > 0

@@ -76,6 +76,17 @@ def test_r001_accepts_seeded_rng_helpers():
     assert lint_with("R001", R001_NEGATIVE) == []
 
 
+def test_r001_sees_a_probe_under_repro_ingest(tmp_path):
+    # The sub-package comes from the path itself, so a new package under
+    # repro/ is in scope without being listed anywhere in the linter.
+    probe = tmp_path / "repro" / "ingest" / "probe.py"
+    probe.parent.mkdir(parents=True)
+    probe.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
+    violations, checked = LintEngine([get_rule("R001")]).lint_paths([probe])
+    assert checked == 1
+    assert [(v.rule_id, v.line) for v in violations] == [("R001", 5)]
+
+
 def test_r001_is_scoped_to_algorithm_packages():
     assert lint_with("R001", R001_POSITIVE, subpackage="core")
     assert lint_with("R001", R001_POSITIVE, subpackage="analysis") == []

@@ -48,7 +48,7 @@ def _wait_for(predicate, timeout: float = 10.0):
     *after* the response bytes reach the client, so a client that just
     read a response may observe the signals a moment later.
     """
-    import time  # repro-lint: disable=R006
+    import time
 
     deadline = time.monotonic() + timeout
     while True:

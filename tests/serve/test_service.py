@@ -61,7 +61,7 @@ class TestReadWriteLock:
 
         holder = threading.Thread(target=first_reader)
         holder.start()
-        import time  # repro-lint: disable=R006
+        import time
 
         while lock._readers == 0:
             time.sleep(0.001)

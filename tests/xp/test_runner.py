@@ -5,11 +5,13 @@ mid-matrix must resume recomputing *only* the incomplete cells, which
 the resume tests assert by counting actual cell executions.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.xp.runner as runner
 from repro.xp.runner import RunSummary, execute_cell, run_matrix
-from repro.xp.spec import spec_from_dict
+from repro.xp.spec import EXPERIMENTS, spec_from_dict
 from repro.xp.store import ResultStore, validate_cell_result
 
 
@@ -66,7 +68,7 @@ class TestExecuteCell:
     def test_unknown_experiment_rejected(self):
         (cell, _) = _spec().cells()
         broken = type(cell)(**{**cell.__dict__, "experiment": "telepathy"})
-        with pytest.raises(ValueError, match="no adapter"):
+        with pytest.raises(ValueError, match="unknown experiment 'telepathy'"):
             execute_cell(broken)
 
 
@@ -147,14 +149,14 @@ class TestRunMatrix:
     def test_cell_failure_is_isolated(self, tmp_path, monkeypatch):
         spec = _spec(seeds=(1, 2))
         store = ResultStore(str(tmp_path / "run"), create=True)
-        original = runner._ADAPTERS["runtime"]
+        runtime = EXPERIMENTS["runtime"]
 
-        def flaky(cell):
+        def flaky(log, cell):
             if cell.seed == 2:
                 raise RuntimeError("simulated cell crash")
-            return original(cell)
+            return runtime.run(log, cell)
 
-        monkeypatch.setitem(runner._ADAPTERS, "runtime", flaky)
+        monkeypatch.setitem(EXPERIMENTS, "runtime", replace(runtime, run=flaky))
         summary = run_matrix(spec, store)
         assert summary.executed == 1
         assert summary.failed == 1

@@ -1,10 +1,10 @@
 """Tests for matrix specs: validation, expansion determinism, cell keys."""
 
 import json
+import os
 
 import pytest
 
-from repro.analysis import grid
 from repro.xp.spec import (
     AXES,
     BUILTIN_SPECS,
@@ -193,8 +193,8 @@ class TestExpansion:
             {"name": "t", "blocks": [{"experiment": "memory", "datasets": ["enron-sim"]}]}
         )
         cells = spec.cells()
-        assert sorted({c.window_pct for c in cells}) == sorted(grid.WINDOW_PERCENTS)
-        assert {c.precision for c in cells} == {grid.DEFAULT_PRECISION}
+        assert [c.window_pct for c in cells] == [1, 10, 20]
+        assert {c.precision for c in cells} == {9}
 
     def test_spec_hash_changes_with_content(self):
         base = spec_from_dict(_runtime_spec())
@@ -214,7 +214,18 @@ class TestBuiltins:
 
     def test_paper_spec_uses_shared_grid(self):
         runtime_cells = [c for c in paper_spec().cells() if c.experiment == "runtime"]
-        assert sorted({c.window_pct for c in runtime_cells}) == sorted(grid.WINDOW_SWEEP)
+        assert sorted({c.window_pct for c in runtime_cells}) == [1, 5, 10, 20, 40, 60, 80, 100]
+
+    def test_smoke_cells_match_committed_baseline(self):
+        # `repro xp diff benchmarks/results/XP_9 <run>` pairs groups by
+        # these parameters; a changed cell identity orphans the baseline.
+        cells_dir = os.path.join(
+            os.path.dirname(__file__), "..", "..", "benchmarks", "results", "XP_9", "cells"
+        )
+        for cell in smoke_spec().cells():
+            with open(os.path.join(cells_dir, f"{cell.key()}.json"), encoding="utf-8") as handle:
+                stored = json.load(handle)
+            assert stored["params"] == json.loads(json.dumps(cell.params())), cell.label()
 
     def test_builtin_names_resolve(self):
         for name in BUILTIN_SPECS:
