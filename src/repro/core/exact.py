@@ -95,20 +95,6 @@ class ExactIRS(ReverseScan[IRSSummary]):
                 _THROUGHPUT.labels(window=window).set(len(log) / seconds)
         return index
 
-    def evict_ends_after(self, threshold: int) -> Dict[Node, int]:
-        """Decay sweep: drop entries with ``λ > threshold`` from every summary.
-
-        Returns how many entries were evicted per *reached* node, which is
-        exactly the per-influencer decrement the live index's incremental
-        top-k counts need (the index is used as a time-and-direction dual
-        there, so "reached node" means influencer).
-        """
-        require_int(threshold, "threshold")
-        evicted: Dict[Node, int] = {}
-        for summary in self._summaries.values():  # O(n·|σ|) decay sweep, amortised by sweep_every
-            summary.evict_ends_after_into(threshold, evicted)
-        return evicted
-
     def _new_summary(self) -> IRSSummary:
         return IRSSummary()
 

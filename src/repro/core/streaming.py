@@ -33,6 +33,14 @@ channel start time** s: the dominance flips from "earliest end wins" to
 Both flavours are provided: :class:`StreamingExactIndex` (exact dual
 summaries) and :class:`StreamingSketchIndex` (dual versioned-HLL), plus
 the one-shot helper :func:`influencers_of`.
+
+Live consumers need more than the summaries: what one event changed.
+:meth:`StreamingExactIndex.observe` returns it — every ``(influencer,
+start)`` entry of σω_in(target) the step added or refreshed — so a
+forward view (:mod:`repro.ingest.live`) pays for the change, not for
+σω_in(target).  The exact dual also keeps a running entry count and, per
+node, a lower bound on the channel starts it holds, so a decay sweep
+visits only the summaries that may hold an expired entry.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
+    List,
     Optional,
     Tuple,
     Type,
@@ -54,8 +63,13 @@ import repro.obs as obs
 from repro.core.approx import ApproxIRS
 from repro.core.exact import ExactIRS
 from repro.core.interactions import InteractionLog
+from repro.core.summary import IRSSummary
 from repro.obs import OBS_STATE as _OBS
-from repro.utils.contracts import invariant, post_streaming_process
+from repro.utils.contracts import (
+    invariant,
+    post_live_dual_apply,
+    post_streaming_process,
+)
 from repro.utils.validation import require_int, require_type
 
 __all__ = [
@@ -78,8 +92,22 @@ _ENTRIES = obs.gauge(
     "Stored entries of a streaming index (sampled every 1024 events).",
 )
 
-#: Refresh the entries gauge this often; entry_count() walks every summary.
+#: Refresh the entries gauge this often; the sketch dual's entry_count() walks
+#: every summary.
 _ENTRIES_SAMPLE_EVERY = 1024
+
+# The families ExactIRS and IRSSummary fire (registered by their modules):
+# the live dual's apply step counts exactly what theirs would.
+_INTERACTIONS = obs.counter("exact.interactions")
+_MERGES = obs.counter("exact.merges")
+_ADD_OPS = obs.counter("summary.add_ops")
+_MERGE_OPS = obs.counter("summary.merge_ops")
+_MERGE_ADDED = obs.counter("summary.merge_added")
+
+#: One entry of σω_in(target) that a live step changed:
+#: ``(influencer, latest channel start, new)``; ``new`` is False when an
+#: existing channel was refreshed to a later start.
+Change = Tuple[Node, int, bool]
 
 
 class _StreamingIndex(Generic[D]):
@@ -143,17 +171,8 @@ class _StreamingIndex(Generic[D]):
         if _OBS.enabled:
             self._count_event()
 
-    @invariant(post_streaming_process)
-    def observe(self, source: Node, target: Node, time: int) -> None:
-        """Feed one interaction; times must be *non-decreasing* (live mode).
-
-        Unlike :meth:`process`, equal stamps are accepted: interactions
-        sharing the current stamp are applied against a snapshot of each
-        dual summary as it stood when the stamp opened — the incremental
-        twin of :meth:`from_log`'s tie batching, so tied edges never chain
-        into one channel.  Snapshots are taken lazily at a node's first
-        touch within the stamp and dropped when the stamp advances.
-        """
+    def _observe(self, source: Node, target: Node, time: int) -> None:
+        """The live step behind both ``observe`` methods (ties allowed)."""
         require_int(time, "time")
         if self._stamp is not None and time < self._stamp:
             raise ValueError(
@@ -191,6 +210,117 @@ class _StreamingIndex(Generic[D]):
         return self._dual.entry_count()
 
 
+class _LiveDual(ExactIRS):
+    """The exact dual of :class:`StreamingExactIndex`, with live bookkeeping.
+
+    Its :meth:`_apply` does what :meth:`ExactIRS._apply` does, with the
+    same summaries and the same obs counters, and also
+
+    * appends every entry it adds or refreshes to :attr:`changes`, while
+      a caller collects them (``changes`` is None otherwise);
+    * keeps a running entry count, so :meth:`entry_count` is O(1);
+    * keeps, per node with a non-empty summary, an upper bound on its λ
+      (a lower bound on the channel starts it holds), so
+      :meth:`evict_ends_after` visits only summaries that may hold an
+      entry past the threshold.
+
+    Every path that fills the dual (``process``, ``process_tied``, the
+    tie-batched ``from_log`` scan) goes through :meth:`_apply`, so the
+    count and the bounds hold whichever built it.
+    """
+
+    def __init__(self, window: int) -> None:
+        super().__init__(window)
+        self.changes: Optional[List[Change]] = None
+        self._entries = 0
+        self._ceilings: Dict[Node, int] = {}
+
+    @invariant(post_live_dual_apply)
+    def _apply(
+        self,
+        source: Node,
+        target: Node,
+        time: int,
+        target_summary: Optional[IRSSummary],
+    ) -> None:
+        recording = _OBS.enabled
+        if recording:
+            _INTERACTIONS.inc()
+        if source == target or self._window == 0:
+            self._summary_for(source)
+            self._summary_for(target)
+            return
+        summary = self._summaries.get(source)
+        if summary is None:
+            summary = self._summaries[source] = IRSSummary()
+        entries = summary._entries
+        changes = self.changes
+        if changes is None:
+            changes = []
+        added = 0
+        # Every λ of ϕ(source) is >= the scan frontier ``time``, so the
+        # bound of an empty summary starts there.
+        ceiling = self._ceilings.get(source, time)
+        # Add(ϕ(u), (v, t)): the direct hop, with the minimal λ.
+        if recording:
+            _ADD_OPS.inc()
+        current = entries.get(target)
+        if current is None or time < current:
+            entries[target] = time
+            changes.append((target, -time, current is None))
+            if current is None:
+                added += 1
+        if target_summary is not None and len(target_summary) > 0:
+            # Merge(ϕ(u), ϕ(v), t, ω), as IRSSummary.merge_within does it.
+            deadline = time + self._window
+            merged = 0
+            for node, end_time in target_summary.items():
+                if end_time >= deadline or node is source or node == source:
+                    continue
+                current = entries.get(node)
+                if current is None:
+                    entries[node] = end_time
+                    changes.append((node, -end_time, True))
+                    merged += 1
+                    if end_time > ceiling:
+                        ceiling = end_time
+                elif end_time < current:
+                    entries[node] = end_time
+                    changes.append((node, -end_time, False))
+            added += merged
+            if recording:
+                _MERGES.inc()
+                _MERGE_OPS.inc()
+                _MERGE_ADDED.inc(merged)
+        if added:
+            self._entries += added
+            self._ceilings[source] = ceiling
+
+    def evict_ends_after(self, threshold: int) -> Dict[Node, int]:
+        """Decay sweep: drop entries with ``λ > threshold`` from every summary.
+
+        Visits only the summaries whose λ bound exceeds ``threshold`` and
+        leaves each visited bound exact.  Returns how many entries were
+        evicted per *reached* node — in the dual, per influencer.
+        """
+        require_int(threshold, "threshold")
+        evicted: Dict[Node, int] = {}
+        ceilings = self._ceilings
+        stale = [node for node, ceiling in ceilings.items() if ceiling > threshold]
+        for node in stale:
+            summary = self._summaries[node]
+            self._entries -= summary.evict_ends_after_into(threshold, evicted)
+            if len(summary):
+                ceilings[node] = max(end_time for _, end_time in summary.items())
+            else:
+                del ceilings[node]
+        return evicted
+
+    def entry_count(self) -> int:
+        """Total ``(node, λ)`` pairs stored, from the running count."""
+        return self._entries
+
+
 class StreamingExactIndex(_StreamingIndex[ExactIRS]):
     """Exact influenced-by sets, maintained as interactions arrive.
 
@@ -208,8 +338,33 @@ class StreamingExactIndex(_StreamingIndex[ExactIRS]):
     ['a', 'b']
     """
 
-    _dual_type = ExactIRS
+    _dual_type = _LiveDual
     _kind = "exact"
+    _dual: _LiveDual
+
+    @invariant(post_streaming_process)
+    def observe(self, source: Node, target: Node, time: int) -> List[Change]:
+        """Feed one interaction; times must be *non-decreasing* (live mode).
+
+        Unlike :meth:`process`, equal stamps are accepted: interactions
+        sharing the current stamp are applied against a snapshot of each
+        dual summary as it stood when the stamp opened — the incremental
+        twin of :meth:`from_log`'s tie batching, so tied edges never chain
+        into one channel.  Snapshots are taken lazily at a node's first
+        touch within the stamp and dropped when the stamp advances.
+
+        Returns what the step changed: every ``(influencer, start, new)``
+        entry of σω_in(target) it added (``new``) or refreshed to a later
+        start, at most one per influencer.
+        """
+        changes: List[Change] = []
+        dual = self._dual
+        dual.changes = changes
+        try:
+            self._observe(source, target, time)
+        finally:
+            dual.changes = None
+        return changes
 
     def influencers(self, node: Node, since: Optional[int] = None) -> set[Node]:
         """``σω_in(node)`` — everyone with an in-budget channel into node.
@@ -285,6 +440,14 @@ class StreamingSketchIndex(_StreamingIndex[ApproxIRS]):
 
     def __init__(self, window: int, precision: int = 9, salt: int = 0) -> None:
         super().__init__(window, precision=precision, salt=salt)
+
+    @invariant(post_streaming_process)
+    def observe(self, source: Node, target: Node, time: int) -> None:
+        """Feed one interaction; times must be *non-decreasing* (live mode).
+
+        Ties are handled as in :meth:`StreamingExactIndex.observe`.
+        """
+        self._observe(source, target, time)
 
     @property
     def precision(self) -> int:

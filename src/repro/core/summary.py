@@ -102,29 +102,17 @@ class IRSSummary:
             _MERGE_OPS.inc()
             _MERGE_ADDED.inc(len(entries) - before)
 
-    def evict_ends_after(self, threshold: int) -> list[Node]:
-        """Drop every entry with ``λ > threshold``; return the dropped nodes.
+    def evict_ends_after_into(self, threshold: int, counts: Dict[Node, int]) -> int:
+        """Drop every entry with ``λ > threshold``, counting each dropped
+        node into ``counts``; return how many entries were dropped here.
 
         This is the decay sweep of the live dual index
-        (:mod:`repro.ingest.live`): dual end times are negated channel
-        *start* times, so entries whose λ exceeds the negated horizon
-        certify only channels that began before it and can never come
-        back — channel starts are fixed once recorded.
-        """
-        require_int(threshold, "threshold")
-        entries = self._entries
-        stale = [node for node, end_time in entries.items() if end_time > threshold]
-        for node in stale:
-            del entries[node]
-        return stale
-
-    def evict_ends_after_into(self, threshold: int, counts: Dict[Node, int]) -> int:
-        """Like :meth:`evict_ends_after`, folding drops into ``counts``.
-
-        Allocation-free for the caller: the per-summary sweep loop in
-        :meth:`repro.core.exact.ExactIRS.evict_ends_after` accumulates all
-        decrements into one shared dict instead of collecting a fresh
-        list per summary.  Returns how many entries were dropped here.
+        (:mod:`repro.core.streaming`, used by :mod:`repro.ingest.live`):
+        dual end times are negated channel *start* times, so entries whose
+        λ exceeds the negated horizon certify only channels that began
+        before it and can never come back — channel starts are fixed once
+        recorded.  The sweep folds every summary's drops into one shared
+        dict, the per-influencer decrements of the live counts.
         """
         require_int(threshold, "threshold")
         entries = self._entries

@@ -9,10 +9,11 @@ module builds the missing half on top of it: per-**influencer** influence
 
 The trick is that the dual index is a perfect *channel bookkeeper*.
 After applying ``(u, v, t)``, exactly one summary changed — ``σω_in(v)``
-— and diffing it against its pre-event state names every influencer
-``x`` that just reached ``v`` (a new entry) or refreshed an existing
-channel (a later start time).  Those per-event deltas drive two forward
-representations, selected by ``mode``:
+— and :meth:`~repro.core.streaming.StreamingExactIndex.observe` returns
+the entries it changed: every influencer ``x`` that just reached ``v``
+(a new entry) or refreshed an existing channel (a later start time).
+Those per-event deltas drive two forward representations, selected by
+``mode``:
 
 ``exact``
     A plain ``influencer → |σω(u)|`` counter: new entry ⇒ increment,
@@ -22,9 +23,12 @@ representations, selected by ``mode``:
 ``sketch``
     A per-influencer :class:`~repro.sketch.sliding_hll.SlidingWindowHLL`
     over reached nodes, fed *channel start times* so one sketch answers
-    every decay horizon at once.  On logs whose live window contains no
-    cycle this reproduces :class:`~repro.core.approx.ApproxIRS` registers
-    exactly (same ``split_hash``; the reached-node sets coincide).
+    every decay horizon at once.  ``v`` is hashed once per event and the
+    raw ``(cell, ρ)`` pair goes to every changed influencer's sketch.
+    The registers are those of a plain HLL over the exact influence sets;
+    on logs whose live window contains no cycle they equal
+    :class:`~repro.core.approx.ApproxIRS` registers exactly (same
+    ``split_hash``; the reached-node sets coincide).
 
 Stale influence ages out through a **decay horizon** ``decay_window``:
 an interaction only counts while the *start* of its channel lies within
@@ -33,7 +37,9 @@ start is both sound and complete for eviction — starts never move once
 recorded, and a future merge extending an evicted channel would inherit
 the same expired start — so a periodic sweep (every ``sweep_every``
 events) keeps memory and the counters honest without touching
-correctness (queries filter by the horizon anyway).
+correctness (queries filter by the horizon anyway).  A sweep visits only
+the dual summaries that may hold an expired start, and each forward
+sketch returns at once unless it holds a pair older than the horizon.
 
 All shared state sits behind one writer-priority
 :class:`~repro.serve.service.ReadWriteLock`: queries run concurrently,
@@ -56,6 +62,7 @@ from repro.core.oracle import (
 from repro.core.streaming import StreamingExactIndex
 from repro.obs import OBS_STATE as _OBS
 from repro.serve.service import ReadWriteLock
+from repro.sketch.hashing import split_hash
 from repro.sketch.hll import estimate_from_cells
 from repro.sketch.sliding_hll import SlidingWindowHLL
 from repro.utils.validation import (
@@ -273,6 +280,17 @@ class LiveIndex:
             source, target, time = event
             require_int(time, f"event #{position} time")
             checked.append((source, target, time))
+        return self._apply_checked(checked)
+
+    def apply(self, source: Node, target: Node, time: int) -> IngestResult:
+        """Apply one interaction (see :meth:`apply_events`)."""
+        require_int(time, "time")
+        return self._apply_checked([(source, target, time)])
+
+    def _apply_checked(
+        self, checked: List[Tuple[Node, Node, int]]
+    ) -> IngestResult:
+        """Apply validated events under the write lock."""
         applied = rejected = evicted = 0
         with self._obs_latency.time(), self._lock.write():
             for source, target, time in checked:
@@ -298,26 +316,22 @@ class LiveIndex:
                 self._obs_rejected.inc(rejected)
         return IngestResult(applied, rejected, evicted, last_time)
 
-    def apply(self, source: Node, target: Node, time: int) -> IngestResult:
-        """Apply one interaction (see :meth:`apply_events`)."""
-        require_int(time, "time")
-        return self.apply_events([(source, target, time)])
-
     def _apply_locked(self, source: Node, target: Node, time: int) -> None:
-        """One event against the dual, diffed into the forward state."""
+        """One event against the dual; its changes feed the forward state."""
         self._nodes.add(source)
         self._nodes.add(target)
-        before = self._dual.influencer_starts(target)
-        self._dual.observe(source, target, time)
+        changes = self._dual.observe(source, target, time)
+        if not changes:
+            return
         if self._mode == "exact":
             counts = self._counts
-            for influencer, start in self._dual.iter_influencer_starts(target):
-                if influencer not in before:
+            for influencer, _, new in changes:
+                if new:
                     counts[influencer] = counts.get(influencer, 0) + 1
         else:
-            for influencer, start in self._dual.iter_influencer_starts(target):
-                if before.get(influencer) != start:
-                    self._sketch_for(influencer).add_at(target, start)
+            cell, r = split_hash(target, self._precision, self._salt)
+            for influencer, start, _ in changes:
+                self._sketch_for(influencer).add_pair(cell, r, start)
 
     def _sketch_for(self, influencer: Node) -> SlidingWindowHLL:
         sketch = self._sketches.get(influencer)
@@ -349,7 +363,8 @@ class LiveIndex:
         else:
             # Future queries only ask windows starting at or after the
             # (monotone) horizon, so older sketch pairs are dead weight.
-            for sketch in self._sketches.values():  # O(n·log W) decay sweep, amortised by sweep_every
+            # A sketch with nothing older returns at once.
+            for sketch in self._sketches.values():
                 sketch.prune(horizon)
         self._sweeps += 1
         self._evicted_total += evicted

@@ -20,11 +20,26 @@ Expected list length is O(log W) for windows of W arrivals, by the same
 record-value argument as the paper's Lemma 4.  Cells are sparse, as in
 :class:`~repro.sketch.vhll.VersionedHLL`: only filled cells are stored,
 so pruning and register queries cost O(filled cells), not O(β).
+
+Every update goes through one hash-free insert kernel on a raw
+``(cell, ρ, t)`` pair.  :meth:`add` (forward feed) and :meth:`add_at`
+(any order) hash the item and call it; :meth:`add_pair` is the kernel's
+public face, for callers that insert one item into many sketches and so
+hash it once (the live influence tracker of :mod:`repro.ingest.live`
+feeds each event's target to every influencer it reached).  The kernel
+appends when the pair is at least as new as its cell's newest pair and
+binary-searches otherwise; the frontier does not depend on the order.
+
+The sketch also keeps a lower bound on its oldest stored pair time.
+Inserts lower it and :meth:`prune` resets it to the exact oldest time,
+so a prune with nothing older than its cutoff returns at once instead
+of visiting every filled cell.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Hashable, Optional
 
 from repro.sketch.hashing import split_hash
@@ -32,6 +47,8 @@ from repro.sketch.hll import estimate_from_cells
 from repro.utils.validation import require_in_range, require_int, require_type
 
 __all__ = ["SlidingWindowHLL"]
+
+_TIME = itemgetter(0)
 
 
 class SlidingWindowHLL:
@@ -53,7 +70,7 @@ class SlidingWindowHLL:
     True
     """
 
-    __slots__ = ("_precision", "_m", "_salt", "_cells", "_last_time")
+    __slots__ = ("_precision", "_m", "_salt", "_cells", "_last_time", "_oldest")
 
     def __init__(self, precision: int = 9, salt: int = 0) -> None:
         require_int(precision, "precision")
@@ -67,6 +84,8 @@ class SlidingWindowHLL:
         # suffix-maxima frontier).  Pruning deletes a cell's key once empty.
         self._cells: dict[int, list[tuple[int, int]]] = {}
         self._last_time: Optional[int] = None
+        # A lower bound on every stored pair time (None when empty).
+        self._oldest: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -101,20 +120,8 @@ class SlidingWindowHLL:
                 f"stream must be fed in time order: got t={timestamp} "
                 f"after t={self._last_time}"
             )
-        self._last_time = timestamp
-        cell_index, r = split_hash(item, self._precision, self._salt)
-        pairs = self._cells.get(cell_index)
-        if pairs is None:
-            self._cells[cell_index] = [(timestamp, r)]
-            return
-        # Remove every trailing pair with rho <= r: the new arrival is at
-        # least as recent AND at least as large, so it dominates them.
-        while pairs and pairs[-1][1] <= r:
-            pairs.pop()
-        if pairs and pairs[-1][0] == timestamp:
-            # A same-time pair with larger rho dominates the arrival.
-            return
-        pairs.append((timestamp, r))
+        cell, r = split_hash(item, self._precision, self._salt)
+        self._insert(cell, r, timestamp)
 
     def add_at(self, item: Hashable, timestamp: int) -> None:
         """Like :meth:`add`, but accepts out-of-order timestamps.
@@ -122,22 +129,50 @@ class SlidingWindowHLL:
         The live influence tracker (:mod:`repro.ingest.live`) feeds each
         node's sketch with *channel start times*, which do not arrive
         monotonically: a late interaction can extend a channel that began
-        long ago.  General-position insertion costs an extra binary search
-        over the fast append path; the dominance frontier is identical.
+        long ago.  The dominance frontier is the same as for a sorted feed.
         """
         require_int(timestamp, "timestamp")
-        if self._last_time is None or timestamp >= self._last_time:
-            self.add(item, timestamp)
-            return
-        cell_index, r = split_hash(item, self._precision, self._salt)
-        pairs = self._cells.get(cell_index)
+        cell, r = split_hash(item, self._precision, self._salt)
+        self._insert(cell, r, timestamp)
+
+    def add_pair(self, cell: int, r: int, timestamp: int) -> None:
+        """Insert a raw ``(t=timestamp, ρ=r)`` pair into ``cell``, in any order.
+
+        The hash-free form of :meth:`add_at`: ``cell, r`` are what
+        :func:`~repro.sketch.hashing.split_hash` gives for the item at
+        this sketch's precision and salt.
+        """
+        require_int(timestamp, "timestamp")
+        if not 0 <= cell < self._m:
+            raise ValueError(f"cell must be in [0, {self._m}), got {cell}")
+        self._insert(cell, r, timestamp)
+
+    def _insert(self, cell: int, r: int, timestamp: int) -> None:
+        """The insert kernel: splice ``(timestamp, r)`` into ``cell``'s
+        frontier; no argument validation."""
+        if self._last_time is None or timestamp > self._last_time:
+            self._last_time = timestamp
+        pairs = self._cells.get(cell)
         if pairs is None:
-            self._cells[cell_index] = [(timestamp, r)]
+            self._cells[cell] = [(timestamp, r)]
+            if self._oldest is None or timestamp < self._oldest:
+                self._oldest = timestamp
             return
-        i = bisect_left(pairs, timestamp, key=lambda pair: pair[0])
+        if timestamp >= pairs[-1][0]:
+            # Append path.  Remove every trailing pair with rho <= r: the
+            # new pair is at least as recent AND at least as large, so it
+            # dominates them.
+            while pairs and pairs[-1][1] <= r:
+                pairs.pop()
+            if pairs and pairs[-1][0] == timestamp:
+                # A same-time pair with larger rho dominates the arrival.
+                return
+            pairs.append((timestamp, r))
+            return
+        i = bisect_left(pairs, timestamp, key=_TIME)
         # At most one stored pair can share this timestamp (same-t pairs
         # dominate each other); it sits exactly at position i.
-        if i < len(pairs) and pairs[i][0] == timestamp:
+        if pairs[i][0] == timestamp:
             if pairs[i][1] >= r:
                 return
             del pairs[i]
@@ -151,6 +186,8 @@ class SlidingWindowHLL:
         while j > 0 and pairs[j - 1][1] <= r:
             j -= 1
         pairs[j:i] = [(timestamp, r)]
+        if self._oldest is None or timestamp < self._oldest:
+            self._oldest = timestamp
 
     def prune(self, before: int) -> None:
         """Discard pairs with ``t < before``.
@@ -161,15 +198,22 @@ class SlidingWindowHLL:
         tracking an endless stream with a fixed maximum window length.
         """
         require_int(before, "before")
+        if self._oldest is None or self._oldest >= before:
+            return  # nothing stored is older than ``before``
         emptied = []
+        oldest: Optional[int] = None
         for index, pairs in self._cells.items():
-            cut = bisect_left(pairs, before, key=lambda pair: pair[0])
+            cut = bisect_left(pairs, before, key=_TIME)
             if cut == len(pairs):
                 emptied.append(index)
-            elif cut:
+                continue
+            if cut:
                 del pairs[:cut]
+            if oldest is None or pairs[0][0] < oldest:
+                oldest = pairs[0][0]
         for index in emptied:
             del self._cells[index]
+        self._oldest = oldest
 
     # ------------------------------------------------------------------
     # Queries
@@ -185,7 +229,7 @@ class SlidingWindowHLL:
             return {cell: pairs[0][1] for cell, pairs in self._cells.items()}
         registers: dict[int, int] = {}
         for cell, pairs in self._cells.items():
-            index = bisect_left(pairs, start, key=lambda pair: pair[0])
+            index = bisect_left(pairs, start, key=_TIME)
             if index < len(pairs):
                 registers[cell] = pairs[index][1]
         return registers

@@ -61,6 +61,7 @@ __all__ = [
     "post_exact_apply",
     "post_approx_apply",
     "post_streaming_process",
+    "post_live_dual_apply",
 ]
 
 CONTRACTS_ENV = "REPRO_DEBUG_CONTRACTS"
@@ -291,4 +292,32 @@ def post_streaming_process(self: Any, args: tuple, kwargs: dict, result: Any) ->
         _fail(
             f"streaming dual frontier is {dual_last!r} after processing t={time}; "
             f"expected {-time}"
+        )
+
+
+def post_live_dual_apply(self: Any, args: tuple, kwargs: dict, result: Any) -> None:
+    """After the live dual's ``_apply`` (:mod:`repro.core.streaming`).
+
+    Algorithm 2's post-condition holds, every reported change is stored
+    as reported (a start is a negated dual λ), and the source's λ bound
+    still covers its whole summary.
+    """
+    post_exact_apply(self, args, kwargs, result)
+    source = _argument(args, kwargs, 0, "source")
+    summary = self._summaries.get(source)
+    if summary is None or not summary._entries:
+        return
+    entries = summary._entries
+    for influencer, start, _ in self.changes or ():
+        if entries.get(influencer) != -start:
+            _fail(
+                f"live dual reported ({influencer!r}, start={start}) but ϕ({source!r}) "
+                f"holds λ={entries.get(influencer)!r}"
+            )
+    ceiling = self._ceilings.get(source)
+    highest = max(entries.values())
+    if ceiling is None or ceiling < highest:
+        _fail(
+            f"live dual λ bound of {source!r} is {ceiling!r}, below its "
+            f"largest stored λ {highest}"
         )

@@ -492,6 +492,31 @@ def _fail(spec_name: str, message: str) -> ValueError:
     return ValueError(f"matrix spec {spec_name!r}: {message}")
 
 
+def _param_problem(value: object, default: object) -> Optional[str]:
+    """Why a canonical ``params`` value does not fit the shape of its
+    default (None when it fits).
+
+    A list default takes a non-empty list of positive numbers of the
+    default's element type; a number default takes a positive number of
+    its type.  A float slot also takes an int; bools are never numbers.
+    """
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, tuple) or not value:
+            return "must be a non-empty list"
+        kind = type(default[0])
+        entries = value
+        describe = f"must list positive {kind.__name__}s"
+    else:
+        kind = type(default)
+        entries = (value,)
+        describe = f"must be a positive {kind.__name__}"
+    accepted = (int, float) if kind is float else kind
+    for entry in entries:
+        if isinstance(entry, bool) or not isinstance(entry, accepted) or entry <= 0:
+            return describe
+    return None
+
+
 def _validate_block(spec_name: str, index: int, raw: Mapping[str, object]) -> Block:
     where = f"blocks[{index}]"
     if not isinstance(raw, Mapping):
@@ -580,11 +605,17 @@ def _validate_block(spec_name: str, index: int, raw: Mapping[str, object]) -> Bl
         )
     except ValueError as exc:
         raise _fail(spec_name, f"{where}: {exc}") from exc
+    for key, value in params:
+        problem = _param_problem(value, definition.default_params[key])
+        if problem:
+            raise _fail(
+                spec_name, f"{where} ({experiment}): params {key!r} {problem}, got {value!r}"
+            )
 
     if experiment == "accuracy":
         betas = dict(params).get("betas", dict(_merged_params(Block(experiment, ()), definition)).get("betas"))
         for beta in betas:  # type: ignore[union-attr]
-            if not isinstance(beta, int) or beta <= 0 or beta & (beta - 1):
+            if beta & (beta - 1):
                 raise _fail(
                     spec_name,
                     f"{where}: accuracy beta {beta!r} must be a positive power of two",

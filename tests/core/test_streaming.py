@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.exact import ExactIRS
 from repro.core.interactions import InteractionLog
+from repro.core.summary import IRSSummary
 from repro.core.streaming import (
     StreamingExactIndex,
     StreamingSketchIndex,
@@ -202,6 +203,130 @@ class TestObserve:
             assert live.influencer_estimate(node) == batch.influencer_estimate(
                 node
             ), node
+
+
+def _starts_diff(before, after):
+    """The before/after diff of σω_in(target) a live consumer would take:
+    every entry that is new or holds a different start."""
+    return {
+        (influencer, start, influencer not in before)
+        for influencer, start in after.items()
+        if before.get(influencer) != start
+    }
+
+
+LIVE_NODES = "abcde"
+
+#: ``(source, target, gap to the previous stamp)``: ties, self-loops and
+#: repeated edges are all common.
+LIVE_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(LIVE_NODES),
+        st.sampled_from(LIVE_NODES),
+        st.sampled_from([0, 0, 1, 2, 3]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _all_starts(index):
+    return {node: index.influencer_starts(node) for node in LIVE_NODES}
+
+
+class TestObserveChanges:
+    """``observe`` returns exactly the entries its step added or refreshed."""
+
+    @given(raw=LIVE_EVENTS, window=st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_changes_are_the_before_after_diff(self, raw, window):
+        index = StreamingExactIndex(window)
+        time = 0
+        for source, target, gap in raw:
+            time += gap
+            before = _all_starts(index)
+            changes = index.observe(source, target, time)
+            after = _all_starts(index)
+            assert len({influencer for influencer, _, _ in changes}) == len(changes)
+            assert set(changes) == _starts_diff(before[target], after[target])
+            # Only σω_in(target) changes (the mirror of Lemma 1).
+            assert {n: s for n, s in before.items() if n != target} == {
+                n: s for n, s in after.items() if n != target
+            }
+            assert index.entry_count() == sum(map(len, after.values()))
+
+    def test_tied_stamps(self):
+        index = StreamingExactIndex(window=10)
+        assert index.observe("a", "b", 1) == [("a", 1, True)]
+        assert index.observe("b", "c", 5) == [("b", 5, True), ("a", 1, True)]
+        # Refreshes a→b; tied with b→c, so it does not reach c.
+        assert index.observe("a", "b", 5) == [("a", 5, False)]
+        # Merges b's pre-stamp state {a: 1}: nothing new for c.
+        assert index.observe("b", "c", 5) == []
+        assert index.observe("b", "c", 6) == [("b", 6, False), ("a", 5, False)]
+        assert index.observe("c", "c", 7) == []  # self-loops carry no influence
+
+    def test_rejected_event_changes_nothing(self):
+        index = StreamingExactIndex(window=10)
+        index.observe("a", "b", 5)
+        with pytest.raises(ValueError):
+            index.observe("b", "c", 4)
+        assert index.observe("b", "c", 6) == [("b", 6, True), ("a", 5, True)]
+
+    def test_process_keeps_the_entry_count(self, tied_log):
+        index = StreamingExactIndex(window=60)
+        for time, record in enumerate(tied_log.forward()):
+            index.process(record.source, record.target, time)
+        assert index.entry_count() == sum(
+            len(index.influencer_starts(node)) for node in index.nodes
+        )
+
+    @given(raw=LIVE_EVENTS, window=st.integers(1, 6), lag=st.integers(0, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_eviction_drops_exactly_the_expired_entries(self, raw, window, lag):
+        index = StreamingExactIndex(window)
+        time = 0
+        for step, (source, target, gap) in enumerate(raw):
+            time += gap
+            index.observe(source, target, time)
+            if step % 4 != 3:
+                continue
+            cutoff = time - lag
+            before = _all_starts(index)
+            expected: dict = {}
+            for starts in before.values():
+                for influencer, start in starts.items():
+                    if start < cutoff:
+                        expected[influencer] = expected.get(influencer, 0) + 1
+            assert index.evict_started_before(cutoff) == expected
+            assert _all_starts(index) == {
+                node: {i: s for i, s in starts.items() if s >= cutoff}
+                for node, starts in before.items()
+            }
+            assert index.entry_count() == sum(map(len, _all_starts(index).values()))
+            assert index.evict_started_before(cutoff) == {}
+
+    def test_sweep_visits_only_summaries_holding_an_expired_start(self, monkeypatch):
+        index = StreamingExactIndex(window=100)
+        index.observe("a", "b", 1)
+        index.observe("x", "y", 9)
+        index.observe("y", "z", 10)
+        visited = []
+        evict = IRSSummary.evict_ends_after_into
+
+        def spy(summary, threshold, counts):
+            visited.append(dict(summary.items()))
+            return evict(summary, threshold, counts)
+
+        monkeypatch.setattr(IRSSummary, "evict_ends_after_into", spy)
+        assert index.evict_started_before(5) == {"a": 1}
+        assert visited == [{"a": -1}]  # σω_in(b); y and z hold starts >= 9
+        visited.clear()
+        # The sweep left every bound exact: nothing holds a start before 5.
+        assert index.evict_started_before(5) == {}
+        assert visited == []
+        assert index.evict_started_before(10) == {"x": 2}
+        assert len(visited) == 2  # σω_in(y) and σω_in(z)
 
 
 class TestEviction:

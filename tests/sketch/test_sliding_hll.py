@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sketch.hashing import split_hash
 from repro.sketch.sliding_hll import SlidingWindowHLL
 
 
@@ -190,6 +191,87 @@ class TestAddAt:
     def test_rejects_non_int_time(self):
         with pytest.raises(TypeError):
             SlidingWindowHLL(precision=4).add_at("a", 1.5)
+
+
+OUT_OF_ORDER = st.lists(
+    st.tuples(st.integers(0, 300), st.integers(0, 60)), max_size=80
+)
+
+
+class TestAddPair:
+    """The hash-free kernel: ``add_pair(*split_hash(item), t)`` is ``add_at``."""
+
+    @given(stamped=OUT_OF_ORDER, precision=st.integers(2, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_same_frontier_as_add_at(self, stamped, precision):
+        hashed = SlidingWindowHLL(precision, salt=9)
+        reference = SlidingWindowHLL(precision, salt=9)
+        for item, t in stamped:
+            cell, r = split_hash(item, precision, 9)
+            hashed.add_pair(cell, r, t)
+            reference.add_at(item, t)
+        assert hashed._cells == reference._cells
+        assert hashed.last_time == reference.last_time
+
+    def test_rejects_bad_arguments(self):
+        sketch = SlidingWindowHLL(precision=4)
+        with pytest.raises(TypeError):
+            sketch.add_pair(3, 2, 1.5)
+        with pytest.raises(ValueError, match="cell"):
+            sketch.add_pair(16, 2, 1)
+        assert sketch.entry_count() == 0
+
+
+class TestOldestBound:
+    """``prune`` skips a sketch with nothing older than its cutoff."""
+
+    def test_prune_with_nothing_older_is_a_no_op(self):
+        sketch = SlidingWindowHLL(precision=4)
+        for t in range(10, 60):
+            sketch.add_at(t * 7919, t)
+        cells = {cell: list(pairs) for cell, pairs in sketch._cells.items()}
+        first = min(pairs[0][0] for pairs in cells.values())
+        # Dominated arrivals leave the bound below the oldest stored pair.
+        assert sketch._oldest <= first
+        sketch.prune(sketch._oldest)
+        assert sketch._cells == cells
+        sketch.prune(first)
+        assert sketch._cells == cells and sketch._oldest == first
+        sketch.prune(first + 1)
+        assert sketch._cells != cells and sketch._oldest > first
+
+    def test_empty_sketch_prunes_to_nothing(self):
+        sketch = SlidingWindowHLL(precision=4)
+        sketch.prune(5)
+        assert sketch._oldest is None and sketch.entry_count() == 0
+        sketch.add("a", 3)
+        sketch.prune(10)
+        assert sketch._oldest is None and sketch.entry_count() == 0
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("add_at"), st.integers(0, 300), st.integers(0, 60)),
+                st.tuples(st.just("prune"), st.integers(0, 60)),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_oldest_stays_a_lower_bound(self, ops):
+        sketch = SlidingWindowHLL(precision=3)
+        for op in ops:
+            if op[0] == "add_at":
+                sketch.add_at(op[1], op[2])
+            else:
+                sketch.prune(op[1])
+            firsts = [pairs[0][0] for pairs in sketch._cells.values()]
+            if not firsts:
+                continue
+            assert sketch._oldest is not None and sketch._oldest <= min(firsts)
+            if op[0] == "prune":
+                # A sweep that cut something leaves the bound exact.
+                assert sketch._oldest == min(firsts) or sketch._oldest >= op[1]
 
 
 class TestRegisters:

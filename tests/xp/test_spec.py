@@ -124,6 +124,50 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown params key"):
             spec_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "params, problem",
+        [
+            ({"ks": []}, "non-empty list"),
+            ({"runs": "many"}, "positive int"),
+            ({"ks": [], "runs": "many"}, "non-empty list"),
+            ({"ks": 5}, "non-empty list"),
+            ({"ks": [5, 0]}, "positive ints"),
+            ({"ks": [5, 2.5]}, "positive ints"),
+            ({"ks": [True]}, "positive ints"),
+            ({"probabilities": ["half"]}, "positive floats"),
+            ({"probabilities": [-0.5]}, "positive floats"),
+            ({"runs": 0}, "positive int"),
+            ({"runs": [3]}, "positive int"),
+            ({"runs": False}, "positive int"),
+        ],
+    )
+    def test_params_must_fit_the_default_shape(self, params, problem):
+        """A params value the cells cannot run fails at load time, not in
+        every cell at run time."""
+        raw = {
+            "name": "t",
+            "blocks": [
+                {"experiment": "spread", "datasets": ["enron-sim"], "params": params}
+            ],
+        }
+        with pytest.raises(ValueError, match=problem):
+            spec_from_dict(raw)
+
+    def test_params_of_the_default_shape_load(self):
+        raw = {
+            "name": "t",
+            "blocks": [
+                {
+                    "experiment": "spread",
+                    "datasets": ["enron-sim"],
+                    # An int is a number in a float slot.
+                    "params": {"ks": [2], "probabilities": [1, 0.5], "runs": 1},
+                }
+            ],
+        }
+        (block,) = spec_from_dict(raw).blocks
+        assert dict(block.params) == {"ks": (2,), "probabilities": (1, 0.5), "runs": 1}
+
     def test_accuracy_beta_must_be_power_of_two(self):
         raw = {
             "name": "t",
