@@ -143,6 +143,8 @@ class _StreamingIndex(Generic[D]):
         require_type(log, "log", InteractionLog)
         index = cls(window, **params)
         index._dual = index._dual_type.from_log(log.time_reversed(), window, **params)
+        if index._dual._last_time is not None:
+            index._stamp = -index._dual._last_time
         return index
 
     @property
@@ -157,17 +159,23 @@ class _StreamingIndex(Generic[D]):
 
     @property
     def last_time(self) -> Optional[int]:
-        """Original-time frontier of :meth:`observe` (None before any event)."""
+        """Original-time frontier of every event fed so far (None before any)."""
         return self._stamp
 
     @invariant(post_streaming_process)
     def process(self, source: Node, target: Node, time: int) -> None:
-        """Feed one interaction; times must be strictly increasing."""
+        """Feed one interaction; times must be strictly increasing.
+
+        The time opens a new stamp: an :meth:`observe` at the same time
+        afterwards reads this interaction as already applied.
+        """
         require_int(time, "time")
         # Dual: flip direction, negate time.  The dual index enforces
         # strictly decreasing dual stamps == strictly increasing originals.
         with self._obs_latency.time():
             self._dual.process(target, source, -time)
+        self._stamp = time
+        self._stamp_snapshots.clear()
         if _OBS.enabled:
             self._count_event()
 

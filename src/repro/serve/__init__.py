@@ -17,6 +17,9 @@ the repo builds those summaries; this package deploys them:
 * :mod:`repro.serve.http` — a stdlib ``ThreadingHTTPServer`` JSON API
   (``repro serve``) with request-size limits, error envelopes and a
   graceful SIGTERM drain;
+* :mod:`repro.serve.client` — the keep-alive JSON client (one
+  connection per thread) behind the load generator and
+  ``repro ingest tail``;
 * :mod:`repro.serve.loadgen` — a closed-loop multi-threaded load
   generator reporting p50/p95/p99 latency (also ``python -m
   repro.serve.loadgen``).

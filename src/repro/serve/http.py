@@ -45,11 +45,25 @@ methods, 413 when the body exceeds the request-size limit, 503 while the
 server drains, and 500 for anything unexpected (the swallowed traceback
 goes to the access log under the request's id, not into the response).
 
+**Transport.**  HTTP/1.1 with keep-alive: a client sends many requests
+over one connection, and each response leaves in one write (headers and
+body together, Nagle off).  The first request line on a connection may
+take the 30 s ``timeout``; between requests the socket waits at most
+``idle_timeout`` (50 ms), and a connection idle past it is closed before
+a next request was parsed, so a client may resend on a fresh connection
+without the request being applied twice.  A response sent before the
+request body was read in full (413, a missing, bad or negative
+``Content-Length``, a short body, any ``Transfer-Encoding``, a route that
+answered without reading it) closes the connection: the unread bytes
+would otherwise be parsed as the next request.
+
 Graceful shutdown: :func:`install_drain_handler` hooks SIGTERM/SIGINT to
 flip the server into *draining* (new requests get 503, ``/v1/healthz``
-reports it) and then stop the accept loop; ``serve_until_shutdown`` joins
-the in-flight handler threads before returning, so a supervisor's
-``kill -TERM`` never cuts a response short.
+reports it, every response carries ``Connection: close``) and then stop
+the accept loop; ``serve_until_shutdown`` joins the handler threads
+before returning, so a supervisor's ``kill -TERM`` never cuts a response
+short.  An idle keep-alive connection holds its thread for at most
+``idle_timeout``, so the join never waits on a parked read.
 """
 
 from __future__ import annotations
@@ -181,33 +195,70 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
     """One request: route, parse, call the service, answer JSON."""
 
     server_version = "repro-serve/1"
-    #: One request per connection: keep-alive would park handler threads
-    #: in a blocking read between requests, and the graceful drain joins
-    #: every handler thread — idle keep-alive sockets would hang it.
-    protocol_version = "HTTP/1.0"
-    #: Socket timeout so a silent client cannot stall the drain forever.
+    #: Keep-alive: a client reuses one connection for many requests.  The
+    #: short ``idle_timeout`` between requests keeps the drain, which
+    #: joins every handler thread, from waiting on a parked read.
+    protocol_version = "HTTP/1.1"
+    #: A response is one write; without Nagle it leaves at once.
+    disable_nagle_algorithm = True
+    #: Socket timeout while a request is read, so a silent client cannot
+    #: stall the drain forever.
     timeout = 30.0
+    #: Seconds a kept-alive connection may wait for its next request line.
+    idle_timeout = 0.05
     server: OracleHTTPServer  # narrowed for the route handlers
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: object) -> None:
         """Silence the stderr access log (the structured one replaces it)."""
 
-    def _send_json(self, status: int, payload: object) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def handle(self) -> None:
+        """Serve requests on this connection until one side closes it.
+
+        Between requests the socket waits under ``idle_timeout``; a
+        timeout there closes the connection before a next request was
+        parsed.
+        """
+        self.close_connection = True
+        self.handle_one_request()
+        while not self.close_connection:
+            self.connection.settimeout(self.idle_timeout)
+            self.handle_one_request()
+
+    def parse_request(self) -> bool:
+        """A request line arrived: read the rest under the full ``timeout``."""
+        self.connection.settimeout(self.timeout)
+        return super().parse_request()
+
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """Write the status line, headers and body in one write."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header(REQUEST_ID_HEADER, self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
+        if self._body_unread or self.server.draining or self.close_connection:
+            # Unread body bytes would be parsed as the next request, a
+            # draining server takes no further request on this connection,
+            # and the client may have asked to close it.
+            self.send_header("Connection", "close")
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
         self._status = status
         self._body_bytes = len(body)
+
+    def _send_json(self, status: int, payload: object) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(status, "application/json", body)
 
     def _send_error_envelope(self, status: int, message: str) -> None:
         self._send_json(status, {"error": {"status": status, "message": message}})
 
     def _read_body(self) -> Dict[str, object]:
+        # Every error below answers before the body was read in full.
+        self._body_unread = True
+        if "Transfer-Encoding" in self.headers:
+            raise _RequestError(400, "Transfer-Encoding is not supported")
         raw_length = self.headers.get("Content-Length")
         if raw_length is None:
             raise _RequestError(400, "missing Content-Length header")
@@ -226,6 +277,7 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         if len(body) < length:
             raise _RequestError(400, "request body shorter than Content-Length")
+        self._body_unread = False
         try:
             parsed = json.loads(body.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -252,6 +304,11 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
         self._status = 0
         self._body_bytes = 0
         self._error_note = ""
+        # A declared body is unread until _read_body consumes it.
+        self._body_unread = (
+            "Transfer-Encoding" in self.headers
+            or self.headers.get("Content-Length", "0") != "0"
+        )
         service = self.server.service
         service.begin_cache_window()
         timer = Timer()
@@ -338,14 +395,7 @@ class OracleRequestHandler(BaseHTTPRequestHandler):
 
     def _route_metrics(self) -> None:
         text = obs.to_prometheus(obs.snapshot(include_spans=False)).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(text)))
-        self.send_header(REQUEST_ID_HEADER, self._request_id)
-        self.end_headers()
-        self.wfile.write(text)
-        self._status = 200
-        self._body_bytes = len(text)
+        self._send(200, "text/plain; version=0.0.4", text)
         return None
 
     def _route_debug_requests(self) -> Tuple[int, object]:

@@ -41,11 +41,11 @@ import json
 import sys
 import threading
 import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.serve.accesslog import REQUEST_ID_HEADER, RequestIdGenerator
+from repro.serve.client import JsonClient
 from repro.serve.service import OracleService
 from repro.utils.rng import RngLike, resolve_rng
 from repro.utils.timer import Timer
@@ -198,9 +198,11 @@ class ServiceClient:
 class HttpClient:
     """Executes workload requests against a running ``repro serve``.
 
-    Every request carries a client-minted ``X-Request-Id`` header, so
-    the server's access log and spans attribute under ids the load
-    generator can correlate with its own latency samples.
+    Each worker thread keeps one connection open across its requests
+    (:class:`~repro.serve.client.JsonClient`).  Every request carries a
+    client-minted ``X-Request-Id`` header, so the server's access log and
+    spans attribute under ids the load generator can correlate with its
+    own latency samples.
     """
 
     def __init__(
@@ -209,9 +211,7 @@ class HttpClient:
         timeout: float = 10.0,
         clock: Optional[IngestClock] = None,
     ) -> None:
-        require_type(base_url, "base_url", str)
-        self._base = base_url.rstrip("/")
-        self._timeout = timeout
+        self._json = JsonClient(base_url, timeout=timeout)
         self._request_ids = RequestIdGenerator()
         self._clock = clock if clock is not None else IngestClock()
 
@@ -234,18 +234,12 @@ class HttpClient:
             }
         else:
             raise ValueError(f"unknown workload endpoint {endpoint!r}")
-        data = json.dumps(body).encode("utf-8")
-        request = urllib.request.Request(
-            self._base + route,
-            data=data,
-            headers={
-                "Content-Type": "application/json",
-                REQUEST_ID_HEADER: f"loadgen:{self._request_ids.next_id()}",
-            },
-            method="POST",
-        )
-        with urllib.request.urlopen(request, timeout=self._timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
+        request_id = f"loadgen:{self._request_ids.next_id()}"
+        return self._json.post(route, body, {REQUEST_ID_HEADER: request_id})
+
+    def close(self) -> None:
+        """Close the workers' kept-alive connections."""
+        self._json.close()
 
 
 def _percentile(sorted_values: Sequence[float], quantile: float) -> float:
@@ -502,6 +496,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, urllib.error.URLError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    finally:
+        if isinstance(client, HttpClient):
+            client.close()
     rendered = (
         json.dumps(report.to_dict(), indent=2, sort_keys=True)
         if args.format == "json"

@@ -183,6 +183,22 @@ class TestObserve:
             index.observe("e", "f", 4)
         assert index.last_time == 5
 
+    @pytest.mark.parametrize("index_type", [StreamingExactIndex, StreamingSketchIndex])
+    def test_process_moves_the_frontier(self, index_type):
+        index = index_type(window=10)
+        index.process("a", "b", 1)
+        assert index.last_time == 1
+        # Refused by the live order check, not by the dual's tie check.
+        with pytest.raises(ValueError, match="non-decreasing time order"):
+            index.observe("c", "d", 0)
+        index.observe("b", "c", 2)
+        assert index.last_time == 2
+
+    def test_from_log_sets_the_frontier(self, tied_log):
+        index = StreamingExactIndex.from_log(tied_log, 120)
+        assert index.last_time == max(record.time for record in tied_log.forward())
+        assert StreamingExactIndex.from_log(InteractionLog([]), 120).last_time is None
+
     def test_matches_from_log_on_tied_log(self, tied_log):
         window = 120
         live = StreamingExactIndex(window)

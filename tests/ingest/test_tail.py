@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import threading
+import time
+import urllib.error
 
 import pytest
 
-from repro.ingest.tail import parse_event_line, tail_file
+from repro.core.oracle import ExactInfluenceOracle
+from repro.ingest.live import LiveIndex
+from repro.ingest.tail import HttpIngestClient, parse_event_line, tail_file
+from repro.serve.http import OracleRequestHandler, build_server, serve_until_shutdown
+from repro.serve.service import OracleService
 
 
 class TestParseEventLine:
@@ -130,3 +137,54 @@ class TestTailFile:
         assert tally["posted"] == 3
         assert post.batches[0] == [("a", "b", 1)]
         assert post.batches[1] == [("c", "d", 2), ("e", "f", 3)]
+
+
+@pytest.fixture
+def live_endpoint():
+    """A live server, its index and a count of accepted connections."""
+    live = LiveIndex(window=50, mode="exact")
+    server = build_server(OracleService(ExactInfluenceOracle({})), port=0, live=live)
+    accepted = []
+    accept = server.get_request
+
+    def counting_accept():
+        accepted.append(1)
+        return accept()
+
+    server.get_request = counting_accept
+    thread = threading.Thread(target=serve_until_shutdown, args=(server,))
+    thread.start()
+    host, port = server.server_address[:2]
+    client = HttpIngestClient(f"http://{host}:{port}")
+    yield client, live, accepted
+    client.close()
+    server.shutdown()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestHttpIngestClient:
+    def test_ingest_after_the_idle_timeout_is_applied_once(self, live_endpoint):
+        client, live, accepted = live_endpoint
+        threads = threading.active_count()
+        assert client.ingest([("a", "b", 1)])["applied"] == 1
+        # The server closes the idle connection and its handler thread
+        # ends; the client's next request fails on the closed connection
+        # before a status line and is resent on a new one.
+        time.sleep(OracleRequestHandler.idle_timeout * 2)
+        deadline = time.monotonic() + 10
+        while threading.active_count() > threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        batch = [("b", "c", 2), ("c", "d", 3), ("a", "d", 4)]
+        assert client.ingest(batch)["applied"] == len(batch)
+        assert live.stats()["events_applied"] == 1 + len(batch)
+        assert len(accepted) == 2
+
+    def test_error_answer_raises_and_the_client_recovers(self, live_endpoint):
+        client, live, _ = live_endpoint
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            client.ingest([("a", "b", "soon")])
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]["status"] == 400
+        assert client.ingest([("a", "b", 1)])["applied"] == 1
+        assert live.stats()["events_applied"] == 1

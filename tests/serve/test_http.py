@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import signal
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -16,6 +18,7 @@ from repro.serve.accesslog import REQUEST_ID_HEADER
 from repro.serve.http import (
     DEFAULT_MAX_REQUEST_BYTES,
     OracleHTTPServer,
+    OracleRequestHandler,
     Route,
     build_server,
     install_drain_handler,
@@ -48,8 +51,6 @@ def _wait_for(predicate, timeout: float = 10.0):
     *after* the response bytes reach the client, so a client that just
     read a response may observe the signals a moment later.
     """
-    import time
-
     deadline = time.monotonic() + timeout
     while True:
         result = predicate()
@@ -271,6 +272,110 @@ class TestRequestIds:
         assert excinfo.value.headers[REQUEST_ID_HEADER] == "err-1"
 
 
+def _raw_exchange(server, raw: bytes, half_close: bool = False):
+    """Send ``raw`` in one write; return what came back and whether the
+    server closed the socket (EOF within the timeout)."""
+    host, port = server.server_address[:2]
+    received = b""
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(raw)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return received, True
+                received += chunk
+        except (socket.timeout, ConnectionResetError):
+            return received, False
+
+
+def _statuses(received: bytes):
+    """Status codes of every response in ``received``."""
+    return [
+        int(part.split(b" ", 2)[0])
+        for part in received.split(b"HTTP/1.1 ")[1:]
+        if part[:3].isdigit()
+    ]
+
+
+_SMUGGLED = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class TestKeepAliveTransport:
+    """HTTP/1.1 keep-alive, and the connection closes on an unread body."""
+
+    def test_one_connection_serves_many_requests(self, running_server, monkeypatch):
+        # No scheduling stall on a busy host may close the connection.
+        monkeypatch.setattr(OracleRequestHandler, "idle_timeout", 10.0)
+        host, port = running_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            sockets = set()
+            for _ in range(4):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200 and response.version == 11
+                assert response.getheader("Connection") is None
+                sockets.add(connection.sock)
+            assert len(sockets) == 1
+        finally:
+            connection.close()  # the handler sees EOF and ends at once
+
+    def test_idle_connection_closes_after_idle_timeout(self, running_server):
+        received, closed = _raw_exchange(running_server, _SMUGGLED)
+        assert _statuses(received) == [200]
+        assert closed  # well within the 5 s socket timeout
+
+    @pytest.mark.parametrize(
+        "head,status",
+        [
+            # Over the fixture's 4096-byte limit: the body is never read.
+            (b"POST /v1/spread HTTP/1.1\r\nContent-Length: 5000\r\n", 413),
+            (b"POST /v1/spread HTTP/1.1\r\n", 400),
+            (b"POST /v1/spread HTTP/1.1\r\nContent-Length: 4x\r\n", 400),
+            (b"POST /v1/spread HTTP/1.1\r\nContent-Length: -1\r\n", 400),
+            (b"POST /v1/spread HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 400),
+            (b"POST /v1/nope HTTP/1.1\r\nContent-Length: %d\r\n" % len(_SMUGGLED), 404),
+            (b"POST /v1/healthz HTTP/1.1\r\nContent-Length: %d\r\n" % len(_SMUGGLED), 405),
+        ],
+    )
+    def test_unread_body_is_not_a_second_request(self, running_server, head, status):
+        """The body of a request answered unread must not be parsed as a
+        pipelined request: one response comes back, then the close."""
+        raw = head + b"Host: x\r\n\r\n" + _SMUGGLED
+        received, closed = _raw_exchange(running_server, raw)
+        assert _statuses(received) == [status]
+        assert b"\r\nConnection: close\r\n" in received
+        assert closed
+
+    def test_short_body_closes_the_connection(self, running_server):
+        raw = (
+            b"POST /v1/spread HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+            b'{"seeds"'
+        )
+        received, closed = _raw_exchange(running_server, raw, half_close=True)
+        assert _statuses(received) == [400]
+        assert b"\r\nConnection: close\r\n" in received
+        assert closed
+
+    def test_read_body_errors_keep_the_connection(self, running_server):
+        """A 400 after the whole body was read leaves the stream in step."""
+        body = b"{not json"
+        raw = (
+            b"POST /v1/spread HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+            % len(body)
+            + body
+            + _SMUGGLED
+        )
+        received, closed = _raw_exchange(running_server, raw)
+        assert _statuses(received) == [400, 200]
+        assert b"Connection: close" not in received
+        assert closed  # by the idle timeout after the second response
+
+
 class TestRequestObservability:
     def test_truncated_content_length_400(self, running_server):
         host, port = running_server.server_address[:2]
@@ -463,6 +568,34 @@ class TestDrainAndLifecycle:
         running_server.draining = True
         with urllib.request.urlopen(_url(running_server, "/v1/metrics"), timeout=10) as response:
             assert response.status == 200
+
+    def test_draining_response_closes_the_connection(self, running_server):
+        running_server.draining = True
+        received, closed = _raw_exchange(running_server, _SMUGGLED + _SMUGGLED)
+        assert _statuses(received) == [503]
+        assert b"\r\nConnection: close\r\n" in received
+        assert closed
+
+    def test_idle_keepalive_client_does_not_hold_up_the_drain(self, exact_oracle):
+        server = build_server(OracleService(exact_oracle), port=0)
+        thread = threading.Thread(target=serve_until_shutdown, args=(server,))
+        thread.start()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", "/v1/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert not response.will_close  # the socket stays open, idle
+            begin = time.monotonic()
+            server.shutdown()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            # serve_forever polls every 0.5 s; the handler thread parked
+            # on the idle socket is gone within idle_timeout.
+            assert time.monotonic() - begin < 1.0
+        finally:
+            connection.close()
 
     def test_install_drain_handler_registers_signals(self, exact_oracle):
         service = OracleService(exact_oracle)

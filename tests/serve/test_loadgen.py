@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
+import urllib.error
 
 import pytest
 
 import repro.obs as obs
 from repro.ingest.live import LiveIndex
-from repro.serve.http import build_server, serve_until_shutdown
+from repro.serve.http import OracleRequestHandler, build_server, serve_until_shutdown
 from repro.serve.loadgen import (
     HttpClient,
     LoadgenReport,
@@ -157,7 +158,57 @@ class TestHttpModeAndMain:
             report = run_loadgen(client, workload, threads=2)
             assert report.errors == 0
             assert report.requests == 40
+            client.close()
         finally:
+            server.shutdown()
+            thread.join(timeout=10)
+
+    def test_sequential_requests_share_one_connection(self, exact_oracle, monkeypatch):
+        # A generous idle timeout, so a scheduling stall on a busy host
+        # cannot close the connection between two requests.
+        monkeypatch.setattr(OracleRequestHandler, "idle_timeout", 10.0)
+        server = build_server(OracleService(exact_oracle, cache_size=64), port=0)
+        accepted = []
+        accept = server.get_request
+
+        def counting_accept():
+            accepted.append(1)
+            return accept()
+
+        server.get_request = counting_accept
+        thread = threading.Thread(target=serve_until_shutdown, args=(server,))
+        thread.start()
+        host, port = server.server_address[:2]
+        client = HttpClient(f"http://{host}:{port}")
+        try:
+            nodes = sorted(exact_oracle.nodes())
+            for op in synth_workload(nodes, 50, rng=5):
+                client.request(op)
+            assert len(accepted) == 1
+        finally:
+            client.close()  # the server sees EOF; its handler exits at once
+            server.shutdown()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_error_answer_raises_and_the_client_recovers(self, exact_oracle):
+        server = build_server(OracleService(exact_oracle), port=0)
+        thread = threading.Thread(target=serve_until_shutdown, args=(server,))
+        thread.start()
+        host, port = server.server_address[:2]
+        client = HttpClient(f"http://{host}:{port}")
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                client.request({"endpoint": "influence", "node": "missing-node"})
+            assert excinfo.value.code == 404
+            envelope = json.loads(excinfo.value.read())
+            assert envelope["error"]["status"] == 404
+            assert "unknown node" in envelope["error"]["message"]
+            node = sorted(exact_oracle.nodes())[0]
+            answer = client.request({"endpoint": "influence", "node": node})
+            assert answer["influence"] == exact_oracle.influence(node)
+        finally:
+            client.close()
             server.shutdown()
             thread.join(timeout=10)
 
