@@ -4,7 +4,7 @@ Identical control flow to :class:`repro.core.exact.ExactIRS` — both run the
 reverse chronological scan of :class:`repro.core.scan.ReverseScan` — but
 each summary is a :class:`repro.sketch.vhll.VersionedHLL` instead of an
 exact map.  The paper's ``ApproxAdd`` / ``ApproxMerge`` become the sketch's
-``add_pair`` / ``merge_within``.
+``add_pair`` / ``merge_within``, whose unvalidated kernels the scan calls.
 
 Expected complexity (paper Lemmas 5–6): O(m·β·log²ω) time and
 O(n·β·log²ω) space, with β = 2**precision cells per sketch.  The estimate of
@@ -21,7 +21,7 @@ from repro.core.interactions import InteractionLog
 from repro.core.scan import ReverseScan
 from repro.obs import OBS_STATE as _OBS
 from repro.sketch.hashing import split_hash
-from repro.sketch.hll import estimate_from_registers
+from repro.sketch.hll import estimate_from_cells
 from repro.sketch.vhll import VersionedHLL
 from repro.utils.contracts import invariant, post_approx_apply
 from repro.utils.validation import require_int, require_non_negative, require_type
@@ -116,10 +116,9 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
             if seconds > 0:
                 _THROUGHPUT.labels(window=window).set(len(log) / seconds)
             observe = _CELL_LEN.labels(window=window).observe
-            for sketch in index._summaries.values():  # O(n·β)
-                for length in sketch.cell_lengths():
-                    if length:
-                        observe(length)
+            for sketch in index._summaries.values():  # O(Σ filled cells)
+                for pairs in sketch._cells.values():
+                    observe(len(pairs))
         return index
 
     def prune_ends_after(self, threshold: int) -> int:
@@ -156,12 +155,14 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
         sketch = self._summaries.get(source)
         if sketch is None:
             sketch = self._summaries[source] = self._new_summary()
+        # ω was checked by __init__, and ``time`` by the log or by
+        # process/process_tied, so the kernels run unvalidated.
         cell, r = self._hash_node(target)
-        sketch.add_pair(cell, r, time)
-        if target_sketch is not None and not target_sketch.is_empty():
+        sketch._insert_pair(cell, (time, r))
+        if target_sketch is not None and target_sketch._cells:
             if _OBS.enabled:
                 _MERGES.inc()
-            sketch.merge_within(target_sketch, time, self._window)
+            sketch._merge_below(target_sketch, time + self._window)
 
     def _hash_node(self, node: Node) -> tuple[int, int]:
         cached = self._node_hash.get(node)
@@ -234,18 +235,20 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
 
         This is the approximate influence oracle of paper §4.1: unioning
         HyperLogLog sketches is a cell-wise ``max``, so the query cost is
-        O(Σ filled cells of the seeds + β) regardless of network size.  It
+        O(Σ filled cells of the seeds) regardless of network size.  It
         estimates through the same exact estimator as
         :class:`~repro.core.oracle.ApproxInfluenceOracle`, so the two agree
         bit for bit.
         """
-        combined = [0] * self._num_cells
+        combined: dict[int, int] = {}
         for seed in seeds:  # O(Σ filled cells)
             sketch = self._summaries.get(seed)
             if sketch is None:
                 continue
-            sketch.max_registers_into(combined)
-        return estimate_from_registers(combined, self._num_cells)
+            for cell, r in sketch.register_map().items():
+                if r > combined.get(cell, 0):
+                    combined[cell] = r
+        return estimate_from_cells(combined.values(), self._num_cells)
 
     def entry_count(self) -> int:
         """Total ``(ρ, t)`` pairs stored across every node's sketch."""
@@ -254,10 +257,10 @@ class ApproxIRS(ReverseScan[VersionedHLL]):
     def max_cell_length(self) -> int:
         """Longest per-cell version list — empirically O(log ω) (Lemma 4)."""
         longest = 0
-        for sketch in self._summaries.values():
-            lengths = sketch.cell_lengths()
-            if lengths:
-                longest = max(longest, max(lengths))
+        for sketch in self._summaries.values():  # O(Σ filled cells)
+            for pairs in sketch._cells.values():
+                if len(pairs) > longest:
+                    longest = len(pairs)
         return longest
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

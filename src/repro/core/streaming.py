@@ -192,13 +192,19 @@ class _StreamingIndex(Generic[D]):
                 self._stamp = time
                 self._stamp_snapshots.clear()
             # Dual event: flip direction, negate time.  The dual source is
-            # mutated, the dual target is read — snapshot both at first touch
-            # (a node mutated now may be read later within the same stamp).
+            # mutated: copy it before its first write in this stamp, since a
+            # later tied event may read it.  The dual target is only read:
+            # its pre-stamp copy if it was written in this stamp, else its
+            # live summary, which no tied event has changed yet.
             snapshots = self._stamp_snapshots
-            for node in (target, source):
-                if node not in snapshots:
-                    snapshots[node] = self._dual.snapshot(node)
-            self._dual.process_tied(target, source, -time, snapshots[source])
+            dual = self._dual
+            if target not in snapshots:
+                snapshots[target] = dual.snapshot(target)
+            if source in snapshots:
+                read = snapshots[source]
+            else:
+                read = dual._summaries.get(source)
+            dual.process_tied(target, source, -time, read)
         if _OBS.enabled:
             self._count_event()
 

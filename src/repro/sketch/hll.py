@@ -109,9 +109,8 @@ def scaled_indicator(values: Iterable[int]) -> tuple[int, int, int, int]:
 def estimate_from_registers(registers: Iterable[int], m: int) -> float:
     """Cardinality estimate from a dense array of all ``m`` register values.
 
-    Shared by :class:`HyperLogLog` and the versioned sketch in
-    :mod:`repro.sketch.vhll`, which materialises an effective register array
-    for a time window and estimates through this same formula.
+    The estimator of :class:`HyperLogLog`, whose registers are dense; the
+    sparse sketches estimate through :func:`estimate_from_cells`.
     """
     total, shift, zeros, _ = scaled_indicator(registers)
     return estimate_from_indicator(total, zeros, m, shift)

@@ -25,6 +25,7 @@ reduces to the standard HLL formula over those effective registers
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -43,6 +44,9 @@ from repro.utils.validation import (
 __all__ = ["VersionedHLL"]
 
 _TIME_KEY = lambda pair: pair[0]  # noqa: E731 - bisect key, kept tiny on purpose
+
+#: ``merge``'s deadline: later than every pair time.
+_NO_DEADLINE = math.inf
 
 _PAIRS_INSERTED = obs.counter(
     "vhll.pairs_inserted", "Pairs that survived dominance checks and were stored."
@@ -149,16 +153,16 @@ class VersionedHLL:
         Pareto-frontier invariant.
         """
         self._check_time(timestamp)
+        if not 0 <= cell < self._m:
+            raise ValueError(f"cell must be in [0, {self._m}), got {cell}")
         self._insert_pair(cell, (timestamp, r))
 
     def _insert_pair(self, cell: int, pair: tuple[int, int]) -> None:
-        """Splice ``pair = (t, ρ)`` into ``cell``; no argument validation.
+        """Splice one ``pair = (t, ρ)`` into ``cell``; no argument validation.
 
-        Pairs are immutable, so the merges hand over the donor's own
-        tuple and sketches share it instead of copying.
+        The single-pair form of :meth:`_merge_below`'s splice, for callers
+        that checked ``cell`` and ``t`` themselves.
         """
-        if not 0 <= cell < self._m:
-            raise ValueError(f"cell must be in [0, {self._m}), got {cell}")
         pairs = self._cells.get(cell)
         if pairs is None:
             self._cells[cell] = [pair]
@@ -167,7 +171,7 @@ class VersionedHLL:
             return
         timestamp, r = pair
         # Position of the first pair with t >= timestamp.
-        i = bisect_left(pairs, timestamp, key=_TIME_KEY)
+        i = bisect_left(pairs, (timestamp,))
         # A dominating pair has t' <= timestamp and rho' >= r.  Pairs are
         # rho-increasing, so only the latest such pair can dominate.  A pair
         # at position i with t' == timestamp also has t' <= timestamp.
@@ -176,16 +180,13 @@ class VersionedHLL:
                 if _OBS.enabled:
                     _PAIRS_DOMINATED.inc()
                 return
-            # Same time, smaller rho: strictly dominated by the new pair.
-            del pairs[i]
-            if _OBS.enabled:
-                _PAIRS_PRUNED.inc()
         elif i > 0 and pairs[i - 1][1] >= r:
             if _OBS.enabled:
                 _PAIRS_DOMINATED.inc()
             return
-        # Remove pairs the new one dominates: t'' >= timestamp and rho'' <= r.
-        # They form a contiguous run starting at i (rho increases with t).
+        # Remove pairs the new one dominates: t'' >= timestamp and rho'' <= r
+        # (a same-time pair with smaller rho included).  They form a
+        # contiguous run starting at i (rho increases with t).
         j = i
         n = len(pairs)
         while j < n and pairs[j][1] <= r:
@@ -196,6 +197,83 @@ class VersionedHLL:
             if j > i:
                 _PAIRS_PRUNED.inc(j - i)
 
+    def _merge_below(self, other: "VersionedHLL", deadline: float) -> None:
+        """Insert every pair of ``other`` with ``t < deadline``; no validation.
+
+        The one merge kernel behind :meth:`merge`, :meth:`merge_within`
+        and the IRS build.  It leaves the same cells, and counts the same
+        inserted, dominated and pruned pairs, as one :meth:`_insert_pair`
+        per donor pair below the deadline, without a call per pair:
+
+        * a donor cell whose first pair is at or past the deadline is
+          skipped at the cost of one comparison;
+        * an absent receiving cell takes a copy of the donor's pairs
+          below the deadline (a frontier stays a frontier);
+        * otherwise each pair runs the dominance test and the splice
+          inline, with a direct path for one-pair cells — Lemma 4 keeps
+          most cells that short.
+
+        Pairs are immutable, so both sketches share the tuples.  The pair
+        counters are flushed once per call.
+        """
+        cells = self._cells
+        inserted = dominated = pruned = 0
+        for index, donor in other._cells.items():  # O(filled cells·F)
+            if donor[0][0] >= deadline:
+                continue  # pairs are time-sorted; the whole cell is too late
+            pairs = cells.get(index)
+            if pairs is None:
+                pairs = cells[index] = donor[: bisect_left(donor, (deadline,))]
+                inserted += len(pairs)
+                continue
+            for pair in donor:
+                t, r = pair
+                if t >= deadline:
+                    break
+                n = len(pairs)
+                if n == 1:
+                    t0, r0 = pairs[0]
+                    if t0 <= t:
+                        if r0 >= r:
+                            dominated += 1
+                            continue
+                        if t0 == t:
+                            pairs[0] = pair
+                            pruned += 1
+                        else:
+                            pairs.append(pair)
+                    elif r0 <= r:
+                        pairs[0] = pair
+                        pruned += 1
+                    else:
+                        pairs.insert(0, pair)
+                    inserted += 1
+                    continue
+                # Position of the first pair with t' >= t.
+                i = bisect_left(pairs, (t,))
+                if i < n and pairs[i][0] == t:
+                    if pairs[i][1] >= r:
+                        dominated += 1
+                        continue
+                elif i and pairs[i - 1][1] >= r:
+                    dominated += 1
+                    continue
+                # The run the new pair dominates: t' >= t and rho' <= r
+                # (a same-time pair with smaller rho included).
+                j = i
+                while j < n and pairs[j][1] <= r:
+                    j += 1
+                pairs[i:j] = (pair,)
+                inserted += 1
+                pruned += j - i
+        if _OBS.enabled:
+            if inserted:
+                _PAIRS_INSERTED.inc(inserted)
+            if dominated:
+                _PAIRS_DOMINATED.inc(dominated)
+            if pruned:
+                _PAIRS_PRUNED.inc(pruned)
+
     @invariant(post_vhll_mutation)
     def merge(self, other: "VersionedHLL") -> None:
         """In-place union with ``other`` (no time constraint).
@@ -204,10 +282,7 @@ class VersionedHLL:
         several seed nodes (paper §4.1).
         """
         self._check_compatible(other)
-        insert_pair = self._insert_pair
-        for cell_index, pairs in other._cells.items():  # O(filled cells·F)
-            for pair in pairs:
-                insert_pair(cell_index, pair)
+        self._merge_below(other, _NO_DEADLINE)
 
     @invariant(post_vhll_mutation)
     def merge_within(self, other: "VersionedHLL", start_time: int, window: int) -> None:
@@ -222,13 +297,7 @@ class VersionedHLL:
         self._check_time(start_time)
         require_int(window, "window")
         require_non_negative(window, "window")
-        deadline = start_time + window  # exclusive: keep t < deadline
-        insert_pair = self._insert_pair
-        for cell_index, pairs in other._cells.items():  # O(filled cells·F)
-            for pair in pairs:
-                if pair[0] >= deadline:
-                    break  # pairs are time-sorted; the rest are too late
-                insert_pair(cell_index, pair)
+        self._merge_below(other, start_time + window)  # exclusive: keep t < deadline
 
     def prune_newer_than(self, max_time: int) -> int:
         """Discard pairs with ``t > max_time``; return the eviction count.

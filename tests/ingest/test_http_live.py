@@ -144,10 +144,13 @@ class TestIngestRoutes:
         server, _, _ = live_server
         host, port = server.server_address[:2]
         client = HttpIngestClient(f"http://{host}:{port}")
-        summary = client.ingest([("a", "b", 1), ("a", "c", 2)])
-        assert summary["applied"] == 2
-        ranked = client.topk_live(1)
-        assert ranked["ranking"] == [{"node": "a", "influence": 2.0}]
+        try:
+            summary = client.ingest([("a", "b", 1), ("a", "c", 2)])
+            assert summary["applied"] == 2
+            ranked = client.topk_live(1)
+            assert ranked["ranking"] == [{"node": "a", "influence": 2.0}]
+        finally:
+            client.close()
 
 
 class TestHealthzIntegration:

@@ -268,8 +268,9 @@ class TestRequestIds:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 404
-        assert excinfo.value.headers[REQUEST_ID_HEADER] == "err-1"
+        with excinfo.value:  # an unread error response holds its socket open
+            assert excinfo.value.code == 404
+            assert excinfo.value.headers[REQUEST_ID_HEADER] == "err-1"
 
 
 def _raw_exchange(server, raw: bytes, half_close: bool = False):
@@ -398,8 +399,9 @@ class TestRequestObservability:
     def test_unknown_routes_share_the_unmatched_label(self, running_server):
         obs.enable()
         for path in ("/v1/nope", "/v1/scan-1", "/v1/scan-2", "/../../etc/passwd"):
-            with pytest.raises(urllib.error.HTTPError):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(_url(running_server, path), timeout=10)
+            excinfo.value.close()
 
         def unmatched_total():
             return sum(

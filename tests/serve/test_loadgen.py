@@ -228,7 +228,7 @@ class TestHttpModeAndMain:
         assert code == 0
         captured = capsys.readouterr().out
         assert "cache hit-rate:" in captured
-        written = json.loads(open(output).read())
+        written = json.loads((tmp_path / "report.json").read_text())
         assert written["errors"] == 0
         assert written["requests"] == 200
 

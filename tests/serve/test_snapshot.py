@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,7 +189,7 @@ class TestCorruption:
 
     def test_truncated_file(self, tmp_path):
         path = self._write_valid(tmp_path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         with open(path, "wb") as handle:
             handle.write(data[: len(data) - 7])
         with pytest.raises(ValueError, match="truncated snapshot"):
@@ -197,7 +198,7 @@ class TestCorruption:
     def test_truncation_at_every_prefix_is_detected(self, tmp_path):
         """No prefix of a valid snapshot may load as a (wrong) oracle."""
         path = self._write_valid(tmp_path)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         for cut in range(len(data) - 1, 0, -4):
             with open(path, "wb") as handle:
                 handle.write(data[:cut])
@@ -206,7 +207,7 @@ class TestCorruption:
 
     def test_crc_mismatch(self, tmp_path):
         path = self._write_valid(tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[-1] ^= 0xFF  # flip a payload byte in the last section
         with open(path, "wb") as handle:
             handle.write(bytes(data))

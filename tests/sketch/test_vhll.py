@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.obs as obs
 from repro.sketch.vhll import VersionedHLL
 
 
@@ -275,6 +276,91 @@ class TestMerge:
         left.merge(right)
         mirror_left.merge(mirror_right)
         assert left.to_dict() == mirror_left.to_dict()
+
+
+#: Few cells, times and ρ values, so equal times and equal pairs are common.
+SKETCH_PAIRS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=-3, max_value=12),
+    ),
+    max_size=30,
+)
+PAIR_COUNTERS = ("vhll.pairs_inserted", "vhll.pairs_dominated", "vhll.pairs_pruned")
+
+
+def sketch_of(triples) -> VersionedHLL:
+    sketch = VersionedHLL(precision=2)
+    for cell, r, t in triples:
+        sketch.add_pair(cell, r, t)
+    return sketch
+
+
+def counted(action) -> tuple:
+    """Run ``action`` with obs on; return its pair-counter deltas."""
+    was_enabled = obs.enabled()
+    obs.enable()
+    try:
+        before = [obs.counter(name).value for name in PAIR_COUNTERS]
+        action()
+        return tuple(
+            obs.counter(name).value - start for name, start in zip(PAIR_COUNTERS, before)
+        )
+    finally:
+        if not was_enabled:
+            obs.disable()
+
+
+def insert_each_pair(receiver: VersionedHLL, donor: VersionedHLL, deadline=None) -> None:
+    """The per-pair reference: one ``add_pair`` per donor pair below the deadline."""
+    for cell, pairs in donor.filled_cells():
+        for t, r in pairs:
+            if deadline is None or t < deadline:
+                receiver.add_pair(cell, r, t)
+
+
+class TestMergeKernel:
+    """``merge`` and ``merge_within`` against one ``add_pair`` per donor pair."""
+
+    # Deadlines reach below and above every pair time of SKETCH_PAIRS.
+    @given(SKETCH_PAIRS, SKETCH_PAIRS, st.integers(-6, 14), st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_within_equals_per_pair_inserts(self, mine, theirs, start, window):
+        receiver, donor = sketch_of(mine), sketch_of(theirs)
+        merged, reference = receiver.copy(), receiver.copy()
+        kernel_counts = counted(lambda: merged.merge_within(donor, start, window))
+        reference_counts = counted(
+            lambda: insert_each_pair(reference, donor, start + window)
+        )
+        assert merged.filled_cells() == reference.filled_cells()
+        assert kernel_counts == reference_counts
+
+    @given(SKETCH_PAIRS, SKETCH_PAIRS)
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_per_pair_inserts(self, mine, theirs):
+        receiver, donor = sketch_of(mine), sketch_of(theirs)
+        merged, reference = receiver.copy(), receiver.copy()
+        kernel_counts = counted(lambda: merged.merge(donor))
+        reference_counts = counted(lambda: insert_each_pair(reference, donor))
+        assert merged.filled_cells() == reference.filled_cells()
+        assert kernel_counts == reference_counts
+
+    @given(SKETCH_PAIRS)
+    @settings(max_examples=100, deadline=None)
+    def test_merging_an_equal_sketch_changes_nothing(self, triples):
+        sketch = sketch_of(triples)
+        before = sketch.filled_cells()
+        counts = counted(lambda: sketch.merge(sketch.copy()))
+        assert sketch.filled_cells() == before
+        assert counts == (0, sketch.entry_count(), 0)
+
+    def test_copied_cells_do_not_alias_the_donor(self):
+        donor = sketch_of([(0, 2, 3), (0, 4, 7)])
+        receiver = VersionedHLL(precision=2)
+        receiver.merge(donor)
+        donor.add_pair(0, 6, 1)  # dominates both stored pairs
+        assert receiver.filled_cells() == [[0, [[3, 2], [7, 4]]]]
 
 
 class TestAddItems:
